@@ -29,9 +29,7 @@ from .noise import (
     LinearMultiplicativeNoise,
     WienerIncrement,
     WienerStream,
-    apply_noise,
     audit_hypotheses,
-    hs_norm_sq,
     wiener_increment,
 )
 from .integrator import (
@@ -79,9 +77,7 @@ __all__ = [
     "LinearMultiplicativeNoise",
     "WienerIncrement",
     "WienerStream",
-    "apply_noise",
     "audit_hypotheses",
-    "hs_norm_sq",
     "wiener_increment",
     "InitialData",
     "Monitor",

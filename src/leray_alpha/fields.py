@@ -185,6 +185,11 @@ def canonical_mode(k: tuple[int, int, int]) -> tuple[int, int, int]:
     return (-k[0], -k[1], -k[2])
 
 
+class NonFiniteStateError(ValueError):
+    """A field's coefficients contain inf or nan: the numerical blow-up on
+    which the integrator halts a trajectory."""
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Velocity field as Fourier coefficients on the canonical half-lattice.
@@ -204,7 +209,7 @@ class SpectralField:
                 f"coefficient array must have shape ({lat.size}, 3) for n={self.n}, got {arr.shape}"
             )
         if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("coefficients must be finite")
+            raise NonFiniteStateError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -307,12 +312,6 @@ class ModelContext:
         """Diagonal symbol |k|^{2 theta2} of the fractional dissipation."""
         return self.lattice.power(2.0 * self.theta2)
 
-    @property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask of the product grid, restricted to the retained
-        band; the product grid is sized so the whole truncation survives."""
-        return _dealias_mask(self.n)
-
     def smoothing_gain(self, beta: float) -> float:
         """Sharp constant sup_k |k|^beta / (1 + alpha^{2 theta1} |k|^{2 theta1})
         over the truncation lattice (operator norm H^s -> H^{s+beta} of the
@@ -327,15 +326,6 @@ def _filter_multiplier(n: int, alpha: float, theta1: float) -> np.ndarray:
     arr = 1.0 / (1.0 + alpha ** (2.0 * theta1) * lat.power(2.0 * theta1))
     arr.setflags(write=False)
     return arr
-
-
-@lru_cache(maxsize=16)
-def _dealias_mask(n: int) -> np.ndarray:
-    lat = lattice(n)
-    cutoff = lat.product_ng // 3
-    mask = np.all(np.abs(lat.wavevectors) <= cutoff, axis=1)
-    mask.setflags(write=False)
-    return mask
 
 
 # ---------------------------------------------------------------------------

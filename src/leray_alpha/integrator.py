@@ -25,7 +25,9 @@ import numpy as np
 
 from .fields import (
     ModelContext,
+    NonFiniteStateError,
     SpectralField,
+    inner_product,
     random_field,
     set_fft_workers,
 )
@@ -161,6 +163,23 @@ class TrajectoryState:
     halted: StoppingRecord | None = None
 
 
+# Row names of the two blocks run_trajectory fills, one TrajectoryRecord
+# attribute each: values at the steps + 1 grid times, and per-step ledger
+# increments.
+SERIES_COLUMNS = (
+    "t",
+    "norm_l2",
+    "norm_h1",
+    "norm_th2",
+    "norm_th2p1",
+    "int_diss_th2",
+    "int_diss_th2p1",
+    "injection_cum",
+)
+INCREMENT_COLUMNS = ("mart_l2", "inj_l2", "mart_h1", "inj_h1", "adv_h1", "chi")
+_NORM_ROWS = slice(1, 5)  # norm_l2 .. norm_th2p1
+
+
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """One sample path: norm time series, energy-ledger increments, monitor
@@ -182,7 +201,6 @@ class TrajectoryRecord:
     inj_h1: np.ndarray
     adv_h1: np.ndarray
     chi: np.ndarray
-    hits: tuple[StoppingRecord | None, ...]
     overflow: StoppingRecord | None
     snapshots: tuple[tuple[float, SpectralField], ...]
     final_field: SpectralField
@@ -195,51 +213,75 @@ class TrajectoryRecord:
     def trajectory_id(self) -> int:
         return self.cfg.trajectory_id
 
+    @property
+    def hits(self) -> tuple[StoppingRecord | None, ...]:
+        """First crossing of each configured monitor (None if never), read
+        from the recorded series by detect_stopping."""
+        hits = []
+        for mon in self.cfg.monitors:
+            hit_time = detect_stopping(self, mon.kind, mon.threshold)
+            hits.append(None if hit_time is None else StoppingRecord(mon.kind, mon.threshold, hit_time))
+        return tuple(hits)
+
 
 class _StepCore:
-    """Per-run precomputation shared by step() and run_trajectory()."""
+    """Per-run constants and the one update step() and run_trajectory()
+    share."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         lat = cfg.ctx.lattice
-        self.lat = lat
+        th2 = cfg.ctx.theta2
         self.denom = (1.0 + cfg.dt * cfg.ctx.nu * cfg.ctx.dissipation_multiplier)[:, None]
-        self.w0 = np.ones(lat.size)
-        self.w1 = lat.power(2.0)
+        self.norm_weights = [lat.power(2.0 * s) for s in (0.0, 1.0, th2, th2 + 1.0)]
 
-    def _inner(self, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
-        return 2.0 * float(np.real(np.sum(weights * np.einsum("ij,ij->i", a, np.conj(b)))))
+    def norms(self, coeffs: np.ndarray) -> list[float]:
+        """||u||_0, ||u||_1, ||u||_theta2, ||u||_{theta2+1}."""
+        e = np.sum(np.abs(coeffs) ** 2, axis=1)
+        return [math.sqrt(2.0 * float(np.sum(w * e))) for w in self.norm_weights]
 
-    def advance(self, u: SpectralField, step_index: int, norm_h1: float, stream: WienerStream):
+    def advance(
+        self, u: SpectralField, step_index: int, stream: WienerStream, rows: np.ndarray, inc: np.ndarray
+    ) -> SpectralField | None:
+        """One semi-implicit Euler-Maruyama step from u at grid step
+        step_index.  rows is the (len(SERIES_COLUMNS), 2) slice of the series
+        block at grid steps (m, m + 1): column 0 is read, and column 1 gets the
+        new norms and cumulative integrals (its t is left alone).  inc gets the
+        step's ledger increments.  Returns None, and leaves inc unwritten, when
+        the new state or its norms are not finite."""
         cfg = self.cfg
+        _, _, h1, th2, th2p1, int_th2, int_th2p1, injection = rows
         chi = 1.0
         if cfg.cutoff_radius is not None:
-            chi = smooth_cutoff(norm_h1, cfg.cutoff_radius)
-
-        if cfg.nonlinear:
-            bconv = leray_advection(u, cfg.ctx).coeffs
-        else:
-            bconv = None
-
-        incr = wiener_increment(stream, cfg.dt, step_index)
-        gw = cfg.noise.apply(u, incr).coeffs
-
-        new = u.coeffs + chi * gw
-        if bconv is not None:
-            new = new - (cfg.dt * chi) * bconv
-        new = new / self.denom
-
-        stats = {
-            "chi": chi,
-            "mart_l2": 2.0 * chi * self._inner(gw, u.coeffs, self.w0),
-            "inj_l2": chi * chi * cfg.noise.hs_norm_sq(u, 0.0) * cfg.dt,
-            "mart_h1": 2.0 * chi * self._inner(gw, u.coeffs, self.w1),
-            "inj_h1": chi * chi * cfg.noise.hs_norm_sq(u, 1.0) * cfg.dt,
-            "adv_h1": (2.0 * chi * self._inner(bconv, u.coeffs, self.w1) * cfg.dt)
-            if bconv is not None
-            else 0.0,
-        }
-        return new, stats
+            chi = smooth_cutoff(h1[0], cfg.cutoff_radius)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                bconv = leray_advection(u, cfg.ctx) if cfg.nonlinear else None
+                gw = cfg.noise.apply(u, wiener_increment(stream, cfg.dt, step_index))
+                new = u.coeffs + chi * gw.coeffs
+                if bconv is not None:
+                    new = new - (cfg.dt * chi) * bconv.coeffs
+                new = SpectralField(cfg.ctx.n, new / self.denom)
+                norms = self.norms(new.coeffs)
+                if not all(map(math.isfinite, norms)):
+                    return None
+                inj_l2 = chi * chi * cfg.noise.hs_norm_sq(u, 0.0) * cfg.dt
+                # INCREMENT_COLUMNS order
+                inc[:] = (
+                    2.0 * chi * inner_product(gw, u, 0.0),
+                    inj_l2,
+                    2.0 * chi * inner_product(gw, u, 1.0),
+                    chi * chi * cfg.noise.hs_norm_sq(u, 1.0) * cfg.dt,
+                    2.0 * chi * inner_product(bconv, u, 1.0) * cfg.dt if bconv is not None else 0.0,
+                    chi,
+                )
+        except NonFiniteStateError:
+            return None
+        rows[_NORM_ROWS, 1] = norms
+        int_th2[1] = int_th2[0] + 0.5 * cfg.dt * (th2[0] ** 2 + th2[1] ** 2)
+        int_th2p1[1] = int_th2p1[0] + 0.5 * cfg.dt * (th2p1[0] ** 2 + th2p1[1] ** 2)
+        injection[1] = injection[0] + inj_l2
+        return new
 
 
 def initial_state(cfg: RunConfig) -> TrajectoryState:
@@ -256,84 +298,30 @@ def step(state: TrajectoryState, cfg: RunConfig) -> TrajectoryState:
     finite."""
     if state.halted is not None:
         raise ValueError("cannot step a halted trajectory")
-    from .fields import sobolev_norm
-
     core = _StepCore(cfg)
+    rows = np.zeros((len(SERIES_COLUMNS), 2))
+    rows[_NORM_ROWS, 0] = core.norms(state.u.coeffs)
+    new = core.advance(state.u, state.step_index, state.stream, rows, np.zeros(len(INCREMENT_COLUMNS)))
     t_next = (state.step_index + 1) * cfg.dt
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            new, _ = core.advance(state.u, state.step_index, sobolev_norm(state.u, 1.0), state.stream)
-    except ValueError as exc:
-        if "finite" not in str(exc):
-            raise
-        new = None
-    if new is None or not np.all(np.isfinite(new.view(float))):
-        return TrajectoryState(
-            t=state.t,
-            u=state.u,
-            step_index=state.step_index,
-            stream=state.stream,
-            halted=StoppingRecord("overflow", math.inf, t_next),
-        )
-    return TrajectoryState(
-        t=t_next, u=SpectralField(cfg.ctx.n, new), step_index=state.step_index + 1, stream=state.stream
-    )
+    if new is None:
+        return replace(state, halted=StoppingRecord("overflow", math.inf, t_next))
+    return TrajectoryState(t=t_next, u=new, step_index=state.step_index + 1, stream=state.stream)
 
 
 def run_trajectory(cfg: RunConfig) -> TrajectoryRecord:
     """Integrate one path over [0, steps * dt], recording norms, ledger
-    increments, monitor hits and snapshots at the configured cadence."""
-    lat = cfg.ctx.lattice
+    increments and snapshots at the configured cadence."""
     core = _StepCore(cfg)
     state0 = initial_state(cfg)
     stream = state0.stream
     u = state0.u
     steps = cfg.steps
-    th2 = cfg.ctx.theta2
 
-    t = np.arange(steps + 1) * cfg.dt
-    norm_l2 = np.zeros(steps + 1)
-    norm_h1 = np.zeros(steps + 1)
-    norm_th2 = np.zeros(steps + 1)
-    norm_th2p1 = np.zeros(steps + 1)
-    int_th2 = np.zeros(steps + 1)
-    int_th2p1 = np.zeros(steps + 1)
-    injection = np.zeros(steps + 1)
-    mart_l2 = np.zeros(steps)
-    inj_l2 = np.zeros(steps)
-    mart_h1 = np.zeros(steps)
-    inj_h1 = np.zeros(steps)
-    adv_h1 = np.zeros(steps)
-    chi_series = np.zeros(steps)
-
-    w_th2 = lat.power(2.0 * th2)
-    w_th2p1 = lat.power(2.0 * (th2 + 1.0))
-
-    def fill_norms(m: int, coeffs: np.ndarray) -> None:
-        e = np.sum(np.abs(coeffs) ** 2, axis=1)
-        norm_l2[m] = math.sqrt(2.0 * float(np.sum(e)))
-        norm_h1[m] = math.sqrt(2.0 * float(np.sum(core.w1 * e)))
-        norm_th2[m] = math.sqrt(2.0 * float(np.sum(w_th2 * e)))
-        norm_th2p1[m] = math.sqrt(2.0 * float(np.sum(w_th2p1 * e)))
-
-    fill_norms(0, u.coeffs)
-    hits: list[StoppingRecord | None] = [None] * len(cfg.monitors)
-    runmax_h1_sq = norm_h1[0] ** 2
-
-    def check_monitors(m: int) -> None:
-        for i, mon in enumerate(cfg.monitors):
-            if hits[i] is not None:
-                continue
-            if mon.kind == "tau_R":
-                value = norm_h1[m]
-            elif mon.kind == "rho_M":
-                value = runmax_h1_sq + int_th2p1[m]
-            else:
-                value = int_th2[m]
-            if value >= mon.threshold:
-                hits[i] = StoppingRecord(mon.kind, mon.threshold, t[m])
-
-    check_monitors(0)
+    series = np.zeros((len(SERIES_COLUMNS), steps + 1))
+    increments = np.zeros((len(INCREMENT_COLUMNS), steps))
+    t = series[0]
+    t[:] = np.arange(steps + 1) * cfg.dt
+    series[_NORM_ROWS, 0] = core.norms(u.coeffs)
 
     cadence = None
     if cfg.snapshot_every is not None:
@@ -345,62 +333,19 @@ def run_trajectory(cfg: RunConfig) -> TrajectoryRecord:
     overflow = None
     last = steps
     for m in range(steps):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                new, stats = core.advance(u, m, norm_h1[m], stream)
-        except ValueError as exc:
-            # non-finite intermediates inside the dealiased products
-            if "finite" not in str(exc):
-                raise
+        new = core.advance(u, m, stream, series[:, m : m + 2], increments[:, m])
+        if new is None:
             overflow = StoppingRecord("overflow", math.inf, t[m + 1])
             last = m
             break
-        finite = bool(np.all(np.isfinite(new.view(float))))
-        if finite:
-            with np.errstate(over="ignore", invalid="ignore"):
-                fill_norms(m + 1, new)
-            finite = all(
-                math.isfinite(arr[m + 1]) for arr in (norm_l2, norm_h1, norm_th2, norm_th2p1)
-            )
-        if not finite:
-            overflow = StoppingRecord("overflow", math.inf, t[m + 1])
-            last = m
-            break
-        u = SpectralField(cfg.ctx.n, new)
-        int_th2[m + 1] = int_th2[m] + 0.5 * cfg.dt * (norm_th2[m] ** 2 + norm_th2[m + 1] ** 2)
-        int_th2p1[m + 1] = int_th2p1[m] + 0.5 * cfg.dt * (
-            norm_th2p1[m] ** 2 + norm_th2p1[m + 1] ** 2
-        )
-        injection[m + 1] = injection[m] + stats["inj_l2"]
-        mart_l2[m] = stats["mart_l2"]
-        inj_l2[m] = stats["inj_l2"]
-        mart_h1[m] = stats["mart_h1"]
-        inj_h1[m] = stats["inj_h1"]
-        adv_h1[m] = stats["adv_h1"]
-        chi_series[m] = stats["chi"]
-        runmax_h1_sq = max(runmax_h1_sq, norm_h1[m + 1] ** 2)
-        check_monitors(m + 1)
+        u = new
         if cadence is not None and ((m + 1) % cadence == 0 or m + 1 == steps):
             snapshots.append((t[m + 1], u))
 
-    end = last + 1
     return TrajectoryRecord(
         cfg=cfg,
-        t=t[:end],
-        norm_l2=norm_l2[:end],
-        norm_h1=norm_h1[:end],
-        norm_th2=norm_th2[:end],
-        norm_th2p1=norm_th2p1[:end],
-        int_diss_th2=int_th2[:end],
-        int_diss_th2p1=int_th2p1[:end],
-        injection_cum=injection[:end],
-        mart_l2=mart_l2[:last],
-        inj_l2=inj_l2[:last],
-        mart_h1=mart_h1[:last],
-        inj_h1=inj_h1[:last],
-        adv_h1=adv_h1[:last],
-        chi=chi_series[:last],
-        hits=tuple(hits),
+        **dict(zip(SERIES_COLUMNS, series[:, : last + 1])),
+        **dict(zip(INCREMENT_COLUMNS, increments[:, :last])),
         overflow=overflow,
         snapshots=tuple(snapshots),
         final_field=u,

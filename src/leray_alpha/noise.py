@@ -124,6 +124,13 @@ def _normalize_modes(modes, sigmas, n: int):
     return tuple(canon), tuple(sig)
 
 
+def _mode_rows(modes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice rows of the canonical modes and their |k|^2."""
+    lat = lattice(n)
+    rows = np.array([lat.index_of(k) for k in modes])
+    return rows, lat.k_sq[rows]
+
+
 @dataclass(frozen=True)
 class AdditiveNoise(NoiseFamily):
     """g(u) e_j = sigma_j f_j with f_j the unit-norm divergence-free field
@@ -133,35 +140,35 @@ class AdditiveNoise(NoiseFamily):
     sigmas: tuple[float, ...]
     n: int
     kind: str = field(default="additive", init=False)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _vecs: np.ndarray = field(init=False, repr=False, compare=False)
+    _k_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         modes, sigmas = _normalize_modes(self.modes, self.sigmas, self.n)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "sigmas", sigmas)
+        rows, k_sq = _mode_rows(modes, self.n)
+        vecs = np.stack([polarization(k) for k in modes]) / math.sqrt(2.0)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_vecs", vecs)
+        object.__setattr__(self, "_k_sq", k_sq)
 
     @property
     def dim(self) -> int:
         return len(self.modes)
 
-    def _rows_and_vectors(self):
-        lat = lattice(self.n)
-        rows = np.array([lat.index_of(k) for k in self.modes])
-        vecs = np.stack([polarization(k) for k in self.modes]) / math.sqrt(2.0)
-        return rows, vecs
-
     def apply(self, u: SpectralField, incr: WienerIncrement) -> SpectralField:
         self._check_increment(incr)
         if u.n != self.n:
             raise ValueError(f"state truncation n={u.n} does not match noise n={self.n}")
-        rows, vecs = self._rows_and_vectors()
         coeffs = np.zeros((lattice(self.n).size, 3), dtype=np.complex128)
         amp = np.asarray(self.sigmas) * incr.values
-        np.add.at(coeffs, rows, amp[:, None] * vecs)
+        np.add.at(coeffs, self._rows, amp[:, None] * self._vecs)
         return SpectralField(self.n, coeffs)
 
     def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
-        weights = np.array([sum(c * c for c in k) for k in self.modes], dtype=float) ** s
-        return float(np.sum(np.asarray(self.sigmas) ** 2 * weights))
+        return float(np.sum(np.asarray(self.sigmas) ** 2 * self._k_sq**s))
 
     def describe(self) -> str:
         parts = ", ".join(f"{k}:{s:g}" for k, s in zip(self.modes, self.sigmas))
@@ -208,11 +215,16 @@ class DiagonalSpectralNoise(NoiseFamily):
     sigmas: tuple[float, ...]
     n: int
     kind: str = field(default="diagonal-spectral", init=False)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _k_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         modes, sigmas = _normalize_modes(self.modes, self.sigmas, self.n)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "sigmas", sigmas)
+        rows, k_sq = _mode_rows(modes, self.n)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_k_sq", k_sq)
 
     @property
     def dim(self) -> int:
@@ -220,21 +232,16 @@ class DiagonalSpectralNoise(NoiseFamily):
 
     def apply(self, u: SpectralField, incr: WienerIncrement) -> SpectralField:
         self._check_increment(incr)
-        lat = lattice(self.n)
         if u.n != self.n:
             raise ValueError(f"state truncation n={u.n} does not match noise n={self.n}")
-        rows = np.array([lat.index_of(k) for k in self.modes])
         coeffs = np.zeros_like(u.coeffs)
         scale = np.asarray(self.sigmas) * incr.values
-        coeffs[rows] = scale[:, None] * u.coeffs[rows]
+        coeffs[self._rows] = scale[:, None] * u.coeffs[self._rows]
         return SpectralField(self.n, coeffs)
 
     def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
-        lat = lattice(self.n)
-        rows = np.array([lat.index_of(k) for k in self.modes])
-        weights = np.array([sum(c * c for c in k) for k in self.modes], dtype=float) ** s
-        energies = 2.0 * np.sum(np.abs(u.coeffs[rows]) ** 2, axis=1)
-        return float(np.sum(np.asarray(self.sigmas) ** 2 * weights * energies))
+        energies = 2.0 * np.sum(np.abs(u.coeffs[self._rows]) ** 2, axis=1)
+        return float(np.sum(np.asarray(self.sigmas) ** 2 * self._k_sq**s * energies))
 
     def describe(self) -> str:
         parts = ", ".join(f"{k}:{s:g}" for k, s in zip(self.modes, self.sigmas))
@@ -256,17 +263,6 @@ def decay_modes(n: int, driver_dim: int, sigma: float, gamma: float):
     modes = [tuple(int(c) for c in lat.wavevectors[i]) for i in order[:driver_dim]]
     sigmas = [sigma * float(lat.k_sq[i]) ** (-gamma / 2.0) for i in order[:driver_dim]]
     return tuple(modes), tuple(sigmas)
-
-
-def apply_noise(family: NoiseFamily, u: SpectralField, incr: WienerIncrement) -> SpectralField:
-    """Realise g(u) dW for one increment; linear in the increment."""
-    return family.apply(u, incr)
-
-
-def hs_norm_sq(family: NoiseFamily, u: SpectralField, s: float = 0.0) -> float:
-    """||Lambda^s g(u)||^2 summed over driver dimensions (s in {0, 1} is what
-    the integrator records; any s >= 0 is accepted)."""
-    return family.hs_norm_sq(u, s)
 
 
 # ---------------------------------------------------------------------------

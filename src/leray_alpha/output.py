@@ -17,37 +17,31 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# (CSV header, TrajectoryRecord attribute) of the fixed series columns
+SERIES_CSV_COLUMNS = (
+    ("t", "t"),
+    ("norm_L2", "norm_l2"),
+    ("norm_H1", "norm_h1"),
+    ("norm_Htheta2", "norm_th2"),
+    ("norm_Htheta2p1", "norm_th2p1"),
+    ("int_diss_theta2", "int_diss_th2"),
+    ("int_diss_theta2p1", "int_diss_th2p1"),
+    ("injection_cum", "injection_cum"),
+)
+
+
 def series_header(record: TrajectoryRecord) -> list[str]:
-    cols = [
-        "t",
-        "norm_L2",
-        "norm_H1",
-        "norm_Htheta2",
-        "norm_Htheta2p1",
-        "int_diss_theta2",
-        "int_diss_theta2p1",
-        "injection_cum",
-    ]
-    cols += [f"flag_{mon.kind}" for mon in record.cfg.monitors]
-    return cols
+    cols = [header for header, _ in SERIES_CSV_COLUMNS]
+    return cols + [f"flag_{mon.kind}" for mon in record.cfg.monitors]
 
 
 def write_series_csv(record: TrajectoryRecord, path: str | Path) -> None:
     lines = [",".join(series_header(record))]
+    columns = [getattr(record, attr) for _, attr in SERIES_CSV_COLUMNS]
     hits = [h.hit_time if h is not None else None for h in record.hits]
-    for i in range(len(record.t)):
-        row = [
-            _fmt(record.t[i]),
-            _fmt(record.norm_l2[i]),
-            _fmt(record.norm_h1[i]),
-            _fmt(record.norm_th2[i]),
-            _fmt(record.norm_th2p1[i]),
-            _fmt(record.int_diss_th2[i]),
-            _fmt(record.int_diss_th2p1[i]),
-            _fmt(record.injection_cum[i]),
-        ]
-        for hit in hits:
-            row.append("1" if hit is not None and record.t[i] >= hit else "0")
+    for i, t in enumerate(record.t):
+        row = [_fmt(col[i]) for col in columns]
+        row += ["1" if hit is not None and t >= hit else "0" for hit in hits]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -361,5 +361,8 @@ class TestValidation:
         with pytest.raises(ValueError, match="nu"):
             ModelContext(nu=-1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=4)
 
-    def test_dealias_mask_keeps_truncation(self, ctx4):
-        assert bool(np.all(ctx4.dealias_mask))
+    def test_dealias_band_covers_truncation(self):
+        # the 2/3-rule band |k_i| <= ng // 3 of the product grid keeps the
+        # whole truncation cube |k_i| <= n, so products are alias-free
+        for n in range(1, 41):
+            assert lattice(n).product_ng // 3 >= n

@@ -225,6 +225,64 @@ class TestRunTrajectory:
         assert np.array_equal(record.t, 0.125 * np.arange(9))
 
 
+class TestOneIntegrationPath:
+    def blowup_cfg(self):
+        # the config of TestRunTrajectory.test_overflow_halts_with_partial_record
+        return RunConfig(
+            ctx=ModelContext(nu=1e-8, alpha=1.0, theta1=0.0, theta2=1.0, n=6),
+            dt=50.0,
+            horizon=5000.0,
+            noise=LinearMultiplicativeNoise(0.0),
+            initial=InitialData(kind="random", amplitude=100.0, seed=6),
+            seed=0,
+        )
+
+    def iterate_step(self, cfg):
+        state = initial_state(cfg)
+        for _ in range(cfg.steps):
+            state = step(state, cfg)
+            if state.halted is not None:
+                break
+        return state
+
+    def test_step_matches_run_trajectory_bitwise(self):
+        cfg = RunConfig(
+            ctx=ModelContext(nu=0.5, alpha=1.0, theta1=1.0, theta2=1.0, n=3),
+            dt=0.02,
+            horizon=0.4,
+            noise=AdditiveNoise(((0, 0, 1), (1, 1, 0), (1, 2, 1)), (0.5, 0.3, 0.2), 3),
+            initial=InitialData(kind="random", amplitude=2.0, seed=4),
+            seed=11,
+            cutoff_radius=2.0,
+        )
+        record = run_trajectory(cfg)
+        # the H1 norm starts outside the cutoff ball and ends inside it
+        assert record.norm_h1[0] > cfg.cutoff_radius > record.norm_h1[-1]
+        assert record.chi.min() < 1.0 and record.chi[-1] == 1.0
+        state = self.iterate_step(cfg)
+        assert state.halted is None and state.step_index == cfg.steps
+        assert state.u.coeffs.tobytes() == record.final_field.coeffs.tobytes()
+
+    def test_step_and_run_trajectory_halt_at_same_step(self):
+        cfg = self.blowup_cfg()
+        record = run_trajectory(cfg)
+        state = self.iterate_step(cfg)
+        assert record.overflow is not None and state.halted is not None
+        assert state.halted.hit_time == record.overflow.hit_time
+        assert state.step_index == len(record.t) - 1
+        assert state.u.coeffs.tobytes() == record.final_field.coeffs.tobytes()
+
+    def test_only_non_finite_states_halt(self, monkeypatch):
+        # a ValueError that merely mentions finiteness is a bug, not a blow-up
+        def broken_apply(self, u, incr):
+            raise ValueError("increment is not finite")
+
+        monkeypatch.setattr(AdditiveNoise, "apply", broken_apply)
+        cfg = linear_cfg(noise=AdditiveNoise(((0, 0, 1),), (0.5,), 2), horizon=0.01, dt=0.005)
+        with pytest.raises(ValueError, match="increment is not finite"):
+            run_trajectory(cfg)
+
+
 class TestMonitors:
     def test_tau_r_hits_at_zero_when_threshold_below_initial(self):
         cfg = linear_cfg()

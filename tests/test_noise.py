@@ -15,9 +15,7 @@ from leray_alpha import (
     SpectralField,
     WienerIncrement,
     WienerStream,
-    apply_noise,
     audit_hypotheses,
-    hs_norm_sq,
     random_field,
     sobolev_norm,
     wiener_increment,
@@ -76,18 +74,18 @@ class TestFamilies:
     def test_linear_multiplicative_scaling_exact(self):
         fam = LinearMultiplicativeNoise(0.3)
         incr = WienerIncrement(1.0, np.array([1.7]))
-        out = apply_noise(fam, self.u, incr)
+        out = fam.apply(self.u, incr)
         assert np.array_equal(out.coeffs, 0.3 * 1.7 * self.u.coeffs)
 
     def test_additive_zero_amplitudes(self):
         fam = AdditiveNoise(((0, 0, 1), (1, 1, 0)), (0.0, 0.0), 4)
         incr = WienerIncrement(1.0, np.array([2.0, -3.0]))
-        assert np.max(np.abs(apply_noise(fam, self.u, incr).coeffs)) == 0.0
+        assert np.max(np.abs(fam.apply(self.u, incr).coeffs)) == 0.0
 
     def test_additive_unit_norm_fields(self):
         fam = AdditiveNoise(((0, 0, 1),), (1.0,), 4)
         incr = WienerIncrement(1.0, np.array([1.0]))
-        out = apply_noise(fam, SpectralField.zero(4), incr)
+        out = fam.apply(SpectralField.zero(4), incr)
         assert sobolev_norm(out, 0.0) == pytest.approx(1.0, rel=1e-14)
         assert out.divergence_defect() <= 1e-15
 
@@ -98,12 +96,12 @@ class TestFamilies:
         coeffs[lattice(4).index_of((1, 1, 0))] = [0.5, -0.5, 0.0]
         u = SpectralField(4, coeffs)
         incr = WienerIncrement(1.0, np.array([1.3]))
-        assert np.max(np.abs(apply_noise(fam, u, incr).coeffs)) == 0.0
+        assert np.max(np.abs(fam.apply(u, incr).coeffs)) == 0.0
 
     def test_dimension_mismatch_rejected(self):
         fam = AdditiveNoise(((0, 0, 1),), (1.0,), 4)
         with pytest.raises(ValueError, match="dimension"):
-            apply_noise(fam, self.u, WienerIncrement(1.0, np.array([1.0, 2.0])))
+            fam.apply(self.u, WienerIncrement(1.0, np.array([1.0, 2.0])))
 
     def test_mode_outside_truncation_rejected(self):
         with pytest.raises(ValueError, match="outside the truncation"):
@@ -121,10 +119,8 @@ class TestFamilies:
         fam = AdditiveNoise(((0, 0, 1), (1, 0, 0)), (0.4, 0.2), 3)
         w1 = np.array([1.0, -2.0])
         w2 = np.array([0.5, 3.0])
-        lhs = apply_noise(fam, u, WienerIncrement(1.0, a * w1 + b * w2))
-        rhs = a * apply_noise(fam, u, WienerIncrement(1.0, w1)) + b * apply_noise(
-            fam, u, WienerIncrement(1.0, w2)
-        )
+        lhs = fam.apply(u, WienerIncrement(1.0, a * w1 + b * w2))
+        rhs = a * fam.apply(u, WienerIncrement(1.0, w1)) + b * fam.apply(u, WienerIncrement(1.0, w2))
         assert np.allclose(lhs.coeffs, rhs.coeffs, rtol=0, atol=1e-14)
 
     def test_range_divergence_free(self):
@@ -134,7 +130,7 @@ class TestFamilies:
             DiagonalSpectralNoise(((0, 0, 1), (1, 1, 0)), (0.3, 0.1), 4),
         ):
             incr = WienerIncrement(1.0, np.ones(fam.dim))
-            out = apply_noise(fam, self.u, incr)
+            out = fam.apply(self.u, incr)
             assert out.divergence_defect() <= 1e-12
 
 
@@ -145,10 +141,10 @@ class TestHilbertSchmidtNorms:
 
     def test_linear_multiplicative_closed_forms(self):
         fam = LinearMultiplicativeNoise(0.25)
-        assert hs_norm_sq(fam, self.u, 0.0) == pytest.approx(
+        assert fam.hs_norm_sq(self.u, 0.0) == pytest.approx(
             0.25**2 * sobolev_norm(self.u, 0.0) ** 2, rel=1e-14
         )
-        assert hs_norm_sq(fam, self.u, 1.0) == pytest.approx(
+        assert fam.hs_norm_sq(self.u, 1.0) == pytest.approx(
             0.25**2 * sobolev_norm(self.u, 1.0) ** 2, rel=1e-14
         )
 
@@ -160,12 +156,12 @@ class TestHilbertSchmidtNorms:
                 sig**2 * float(sum(c * c for c in k)) ** s
                 for k, sig in zip(fam.modes, fam.sigmas)
             )
-            assert hs_norm_sq(fam, self.u, s) == pytest.approx(expected, rel=1e-14)
-            assert hs_norm_sq(fam, SpectralField.zero(4), s) == pytest.approx(expected, rel=1e-14)
+            assert fam.hs_norm_sq(self.u, s) == pytest.approx(expected, rel=1e-14)
+            assert fam.hs_norm_sq(SpectralField.zero(4), s) == pytest.approx(expected, rel=1e-14)
 
     def test_diagonal_bounded_by_max_amplitude(self):
         fam = DiagonalSpectralNoise(((0, 0, 1), (1, 1, 0)), (0.5, 0.2), 4)
-        value = hs_norm_sq(fam, self.u, 0.0)
+        value = fam.hs_norm_sq(self.u, 0.0)
         assert value <= max(fam.sigmas) ** 2 * sobolev_norm(self.u, 0.0) ** 2 * (1 + 1e-12)
 
     def test_hs_identity_via_driver_sum(self):
@@ -175,8 +171,8 @@ class TestHilbertSchmidtNorms:
         for j in range(fam.dim):
             e = np.zeros(fam.dim)
             e[j] = 1.0
-            total += sobolev_norm(apply_noise(fam, self.u, WienerIncrement(1.0, e)), 0.0) ** 2
-        assert hs_norm_sq(fam, self.u, 0.0) == pytest.approx(total, rel=1e-12)
+            total += sobolev_norm(fam.apply(self.u, WienerIncrement(1.0, e)), 0.0) ** 2
+        assert fam.hs_norm_sq(self.u, 0.0) == pytest.approx(total, rel=1e-12)
 
     def test_decay_law_modes(self):
         modes, sigmas = decay_modes(4, 5, sigma=0.5, gamma=2.0)
