@@ -5,7 +5,7 @@ finite, and the only applied default values are the documented ones (see
 README for the full schema).  Sections:
 
     [model]    nu, alpha, theta1, theta2, n, nonlinear?
-    [time]     dt, T, snapshot_every? (default T/10)
+    [time]     dt, T, snapshot_every? (default T/10), whole numbers of steps dt
     [noise]    family, seed?, sigma / modes / gamma + driver_dim
     [initial]  kind, mode / seed + slope, amplitude?
     [monitors] tau_R / rho_M / gamma_K = threshold   (optional section)
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .fields import ModelContext
-from .integrator import InitialData, Monitor, RunConfig
+from .integrator import InitialData, Monitor, RunConfig, grid_steps
 from .noise import (
     AdditiveNoise,
     DiagonalSpectralNoise,
@@ -233,12 +233,19 @@ def parse_config(text: str, seed_override: int | None = None) -> ParsedConfig:
         raise ConfigError("[time] dt must be > 0")
     if dt >= horizon:
         raise ConfigError("[time] dt must be smaller than T")
+    if grid_steps(horizon, dt) is None:
+        raise ConfigError(f"[time] T = {horizon!r} is not a whole number of steps dt = {dt!r}")
     if "snapshot_every" in time:
         snapshot_every = _float("time", "snapshot_every", time["snapshot_every"])
         if snapshot_every <= 0:
             raise ConfigError("[time] snapshot_every must be > 0")
+        if grid_steps(snapshot_every, dt) is None:
+            raise ConfigError(
+                f"[time] snapshot_every = {snapshot_every!r} is not a whole number of steps dt = {dt!r}"
+            )
     else:
-        snapshot_every = horizon / 10.0
+        # the step count nearest T/10, at least one
+        snapshot_every = max(1, int(round((horizon / 10.0) / dt))) * dt
 
     noise = _build_noise(sections["noise"], n)
     seed = _int("noise", "seed", sections["noise"].get("seed", "0"))

@@ -80,13 +80,10 @@ class _GridPlan:
         self.ky = line.reshape(1, ng, 1)
         self.kz = np.arange(ng // 2 + 1, dtype=float).reshape(1, 1, ng // 2 + 1)
 
-    def scatter(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def scatter(self, coeffs: np.ndarray) -> np.ndarray:
         """Place half-lattice coefficients (M, 3) into a (3, *half_shape)
         complex array suitable for irfftn."""
-        if out is None:
-            out = np.zeros((3,) + self.half_shape, dtype=np.complex128)
-        else:
-            out[...] = 0.0
+        out = np.zeros((3,) + self.half_shape, dtype=np.complex128)
         flat = out.reshape(3, -1)
         flat[:, self.idx_main] = coeffs.T
         flat[:, self.idx_mirror] = np.conj(coeffs[self.mirror_rows]).T
@@ -108,6 +105,92 @@ class _GridPlan:
 
     def to_spectrum(self, values: np.ndarray) -> np.ndarray:
         return sfft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
+
+
+# x-planes of the product grid carried from the inverse to the forward
+# transform per pass of the slab loop
+_SLAB_DEPTH = 5
+# fields one product-grid transform takes: advect's velocity and 9 derivatives
+_PRODUCT_FIELDS = 12
+
+
+class _ProductGrid:
+    """Pruned transforms between the truncation cube and the product grid
+    (lat.product_ng points per axis) for the quadratic terms.
+
+    Only the |k_i| <= n cube of a grid spectrum carries data.  The inverse
+    transform runs the c2c along x on a compact (fields, ng, 2n + 1, n + 1)
+    block, then slab by slab along x the c2c along y and the c2r along z, and
+    hands each physical slab to a product callback; the forward transform
+    runs the r2c along z per slab and keeps kz <= n, then the c2c along x and
+    along y on the kept bands.  That is the axis order pocketfft uses inside
+    irfftn and rfftn, so every 1-D line that is transformed sees the same
+    input as on the full grid, the skipped lines are all-zero, and the result
+    is bitwise equal to the _GridPlan path.  The zero bands of the persistent
+    buffers are never written, so nothing is zeroed per call; the buffers are
+    reused across calls, so one instance must not be used from two threads.
+    """
+
+    def __init__(self, lat: "Lattice"):
+        n, ng = lat.n, lat.product_ng
+        self.n = n
+        self.ng = ng
+        self.size = lat.size
+        k = lat.wavevectors
+        # kz = 0 modes also fill their conjugate image, as in _GridPlan.scatter
+        self.mirror_rows = np.flatnonzero(k[:, 2] == 0)
+        rows = np.concatenate([k, -k[self.mirror_rows]])
+        self.k_rows = rows.T.astype(float)
+        self.idx_block = np.ravel_multi_index(
+            (np.mod(rows[:, 0], ng), np.mod(rows[:, 1], 2 * n + 1), rows[:, 2]), (ng, 2 * n + 1, n + 1)
+        )
+        self.idx_gather = np.ravel_multi_index(
+            (np.mod(k[:, 0], 2 * n + 1), np.mod(k[:, 1], ng), k[:, 2]), (2 * n + 1, ng, n + 1)
+        )
+        self.x_band = np.r_[0 : n + 1, ng - n : ng]
+        # rfftn's norm="forward" factor, which pocketfft rounds from long double
+        self.scale = float(np.longdouble(1) / np.longdouble(ng**3))
+        self.block = np.zeros((_PRODUCT_FIELDS, ng, 2 * n + 1, n + 1), dtype=np.complex128)
+        self.y_padded = np.zeros((_PRODUCT_FIELDS, _SLAB_DEPTH, ng, n + 1), dtype=np.complex128)
+        self.z_padded = np.zeros((_PRODUCT_FIELDS, _SLAB_DEPTH, ng, ng // 2 + 1), dtype=np.complex128)
+        self.products = np.empty((3, _SLAB_DEPTH, ng, ng))
+        self.forward = np.empty((3, ng, ng, n + 1), dtype=np.complex128)
+
+    def rows(self, coeffs: np.ndarray) -> np.ndarray:
+        """(3, M + mirrors) spectral rows of half-lattice coefficients (M, 3):
+        the lattice rows, then the conjugates of the kz = 0 rows."""
+        out = np.empty((3, self.k_rows.shape[1]), dtype=np.complex128)
+        out[:, : self.size] = coeffs.T
+        out[:, self.size :] = np.conj(coeffs[self.mirror_rows]).T
+        return out
+
+    def transform(self, stack: np.ndarray, combine) -> np.ndarray:
+        """Half-lattice coefficients (M, 3) of the truncated spectrum of three
+        physical products.  stack holds spectral rows as made by rows();
+        combine(physical, out) writes the three products of one x-slab of the
+        stack's fields, (fields, planes, ng, ng), into out (3, planes, ng, ng)."""
+        n, ng = self.n, self.ng
+        fields = len(stack)
+        block = self.block[:fields]
+        flat = block.reshape(fields, -1)
+        for f in range(fields):
+            flat[f][self.idx_block] = stack[f]
+        by_x = sfft.ifft(block, axis=1, norm="forward", workers=_FFT_WORKERS)
+        for x0 in range(0, ng, _SLAB_DEPTH):
+            x1 = min(ng, x0 + _SLAB_DEPTH)
+            y_padded = self.y_padded[:fields, : x1 - x0]
+            y_padded[:, :, : n + 1] = by_x[:, x0:x1, : n + 1]
+            y_padded[:, :, ng - n :] = by_x[:, x0:x1, n + 1 :]
+            z_padded = self.z_padded[:fields, : x1 - x0]
+            z_padded[..., : n + 1] = sfft.ifft(y_padded, axis=2, norm="forward", workers=_FFT_WORKERS)
+            physical = sfft.irfft(z_padded, n=ng, axis=3, norm="forward", workers=_FFT_WORKERS)
+            products = self.products[:, : x1 - x0]
+            combine(physical, products)
+            self.forward[:, x0:x1] = sfft.rfft(products, axis=3, workers=_FFT_WORKERS)[..., : n + 1]
+        self.forward.view(float)[...] *= self.scale
+        x_band = sfft.fft(self.forward, axis=1, workers=_FFT_WORKERS)[:, self.x_band]
+        spectrum = sfft.fft(x_band, axis=2, workers=_FFT_WORKERS)
+        return np.ascontiguousarray(spectrum.reshape(3, -1)[:, self.idx_gather].T)
 
 
 class Lattice:
@@ -141,6 +224,7 @@ class Lattice:
         self.product_ng = next_fft_size(3 * n + 2)
         self.transform_ng = next_fft_size(2 * n + 2)
         self._plans: dict[int, _GridPlan] = {}
+        self._product_grid: _ProductGrid | None = None
         self._powers: dict[float, np.ndarray] = {}
 
     def plan(self, ng: int) -> _GridPlan:
@@ -149,6 +233,12 @@ class Lattice:
             plan = _GridPlan(self, ng)
             self._plans[ng] = plan
         return plan
+
+    def product_grid(self) -> _ProductGrid:
+        """Workspace of the pruned product-grid transforms (per process)."""
+        if self._product_grid is None:
+            self._product_grid = _ProductGrid(self)
+        return self._product_grid
 
     def power(self, exponent: float) -> np.ndarray:
         """|k|^exponent per stored mode (exponent may be negative: k != 0)."""

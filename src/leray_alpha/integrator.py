@@ -108,6 +108,20 @@ class InitialData:
         return random_field(ctx, seed=self.seed, spectrum_slope=self.slope, amplitude=self.amplitude)
 
 
+# relative tolerance for T and snapshot_every being whole numbers of steps dt
+_GRID_RTOL = 1e-9
+
+
+def grid_steps(span: float, dt: float) -> int | None:
+    """span / dt when span is a whole number (>= 1) of steps dt, to within a
+    relative 1e-9; None otherwise."""
+    ratio = span / dt
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > _GRID_RTOL * ratio:
+        return None
+    return steps
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one trajectory needs; ensembles vary trajectory_id only."""
@@ -129,10 +143,17 @@ class RunConfig:
             raise ValueError("dt must be positive and finite")
         if not (self.horizon > self.dt):
             raise ValueError("horizon T must exceed dt")
+        if grid_steps(self.horizon, self.dt) is None:
+            raise ValueError(f"horizon T = {self.horizon!r} is not a whole number of steps dt = {self.dt!r}")
         if self.cutoff_radius is not None and not self.cutoff_radius > 0:
             raise ValueError("cutoff radius must be positive")
-        if self.snapshot_every is not None and not self.snapshot_every > 0:
-            raise ValueError("snapshot cadence must be positive")
+        if self.snapshot_every is not None:
+            if not self.snapshot_every > 0:
+                raise ValueError("snapshot cadence must be positive")
+            if grid_steps(self.snapshot_every, self.dt) is None:
+                raise ValueError(
+                    f"snapshot cadence {self.snapshot_every!r} is not a whole number of steps dt = {self.dt!r}"
+                )
         object.__setattr__(self, "monitors", tuple(self.monitors))
 
     @property
@@ -250,7 +271,7 @@ class _StepCore:
         step's ledger increments.  Returns None, and leaves inc unwritten, when
         the new state or its norms are not finite."""
         cfg = self.cfg
-        _, _, h1, th2, th2p1, int_th2, int_th2p1, injection = rows
+        _, l2, h1, th2, th2p1, int_th2, int_th2p1, injection = rows
         chi = 1.0
         if cfg.cutoff_radius is not None:
             chi = smooth_cutoff(h1[0], cfg.cutoff_radius)
@@ -265,13 +286,14 @@ class _StepCore:
                 norms = self.norms(new.coeffs)
                 if not all(map(math.isfinite, norms)):
                     return None
-                inj_l2 = chi * chi * cfg.noise.hs_norm_sq(u, 0.0) * cfg.dt
+                hs_l2, hs_h1 = cfg.noise._ledger_hs_norms_sq(u, float(l2[0]), float(h1[0]))
+                inj_l2 = chi * chi * hs_l2 * cfg.dt
                 # INCREMENT_COLUMNS order
                 inc[:] = (
                     2.0 * chi * inner_product(gw, u, 0.0),
                     inj_l2,
                     2.0 * chi * inner_product(gw, u, 1.0),
-                    chi * chi * cfg.noise.hs_norm_sq(u, 1.0) * cfg.dt,
+                    chi * chi * hs_h1 * cfg.dt,
                     2.0 * chi * inner_product(bconv, u, 1.0) * cfg.dt if bconv is not None else 0.0,
                     chi,
                 )

@@ -35,17 +35,25 @@ from .fields import (
 
 @dataclass(frozen=True)
 class WienerStream:
-    """Identifies one trajectory's increment stream."""
+    """Identifies one trajectory's increment stream.  It keeps one Philox
+    bit generator for its key and resets the counter for every step, which
+    draws what a generator built for that step would; a stream therefore
+    must not be drawn from by two threads at once."""
 
     master_seed: int
     trajectory_id: int
     dim: int
+    _bitgen: np.random.Philox = field(init=False, repr=False, compare=False)
+    _normal: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("driver dimension must be >= 1")
         if self.master_seed < 0 or self.trajectory_id < 0:
             raise ValueError("master seed and trajectory id must be >= 0 (they key a Philox counter)")
+        bitgen = np.random.Philox(key=np.array([self.master_seed, self.trajectory_id], dtype=np.uint64))
+        object.__setattr__(self, "_bitgen", bitgen)
+        object.__setattr__(self, "_normal", np.random.Generator(bitgen))
 
 
 @dataclass(frozen=True)
@@ -66,11 +74,19 @@ def wiener_increment(stream: WienerStream, dt: float, step: int) -> WienerIncrem
         raise ValueError("dt must be positive")
     if step < 0:
         raise ValueError("step index must be >= 0")
-    bitgen = np.random.Philox(
-        key=np.array([stream.master_seed, stream.trajectory_id], dtype=np.uint64),
-        counter=np.array([0, 0, 0, step], dtype=np.uint64),
-    )
-    draws = np.random.Generator(bitgen).standard_normal(stream.dim)
+    # the state of a fresh Philox(key, counter=[0, 0, 0, step]): empty buffer
+    stream._bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, 0, 0, step], dtype=np.uint64),
+            "key": np.array([stream.master_seed, stream.trajectory_id], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    draws = stream._normal.standard_normal(stream.dim)
     return WienerIncrement(dt, draws * math.sqrt(dt))
 
 
@@ -92,6 +108,11 @@ class NoiseFamily:
 
     def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
         raise NotImplementedError
+
+    def _ledger_hs_norms_sq(self, u: SpectralField, norm_l2: float, norm_h1: float) -> tuple[float, float]:
+        """hs_norm_sq(u, 0) and hs_norm_sq(u, 1) for the energy ledger, which
+        already holds ||u||_0 and ||u||_1."""
+        return self.hs_norm_sq(u, 0.0), self.hs_norm_sq(u, 1.0)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -199,6 +220,9 @@ class LinearMultiplicativeNoise(NoiseFamily):
 
     def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
         return self.sigma**2 * sobolev_norm(u, s) ** 2
+
+    def _ledger_hs_norms_sq(self, u: SpectralField, norm_l2: float, norm_h1: float) -> tuple[float, float]:
+        return self.sigma**2 * norm_l2**2, self.sigma**2 * norm_h1**2
 
     def describe(self) -> str:
         return f"linear-multiplicative[sigma={self.sigma:g}]"

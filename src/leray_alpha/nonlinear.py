@@ -31,6 +31,15 @@ def _require_div_free(u: SpectralField, who: str) -> None:
         raise ValueError(f"{who} must be divergence-free (defect {defect:.3e})")
 
 
+def _advective_products(physical: np.ndarray, out: np.ndarray) -> None:
+    """(u . grad) v_j = sum_m u_m d_m v_j from the physical velocity and
+    derivative fields."""
+    for j in range(3):
+        np.multiply(physical[0], physical[3 + j], out=out[j])
+        out[j] += physical[1] * physical[6 + j]
+        out[j] += physical[2] * physical[9 + j]
+
+
 def advect(u: SpectralField, v: SpectralField, ctx: ModelContext, *, project: bool = True) -> SpectralField:
     """B(u, v): advect v by the divergence-free velocity u and project back
     onto the divergence-free truncated lattice.  project=False returns the
@@ -40,23 +49,14 @@ def advect(u: SpectralField, v: SpectralField, ctx: ModelContext, *, project: bo
         raise ValueError(f"truncation mismatch: fields n={u.n}, context n={ctx.n}")
     _require_div_free(u, "the advecting field")
     lat = ctx.lattice
-    plan = lat.plan(lat.product_ng)
-
-    # batch: 3 velocity components + 9 derivative spectra d_m v_j
-    stack = np.empty((12,) + plan.half_shape, dtype=np.complex128)
-    plan.scatter(u.coeffs, out=stack[0:3])
-    spec_v = plan.scatter(v.coeffs)
-    for m, km in enumerate((plan.kx, plan.ky, plan.kz)):
-        np.multiply(spec_v, km, out=stack[3 + 3 * m : 6 + 3 * m])
-    stack[3:12] *= 1j
-    phys = plan.to_physical(stack)
-
-    conv = np.empty((3, plan.ng, plan.ng, plan.ng))
-    for j in range(3):
-        np.multiply(phys[0], phys[3 + j], out=conv[j])
-        conv[j] += phys[1] * phys[6 + j]
-        conv[j] += phys[2] * phys[9 + j]
-    coeffs = plan.gather(plan.to_spectrum(conv))
+    grid = lat.product_grid()
+    # 3 velocity rows + 9 derivative rows i k_m v_j
+    stack = np.empty((12, grid.k_rows.shape[1]), dtype=np.complex128)
+    stack[0:3] = grid.rows(u.coeffs)
+    derivatives = stack[3:12].reshape(3, 3, -1)
+    np.multiply(grid.rows(v.coeffs), grid.k_rows[:, None, :], out=derivatives)
+    derivatives *= 1j
+    coeffs = grid.transform(stack, _advective_products)
 
     if project:
         dots = np.einsum("ij,ij->i", coeffs, lat.kfloat)
@@ -77,18 +77,17 @@ def trilinear(u: SpectralField, v: SpectralField, w: SpectralField, ctx: ModelCo
     return inner_product(advect(u, v, ctx), w)
 
 
+def _componentwise_products(physical: np.ndarray, out: np.ndarray) -> None:
+    np.multiply(physical[0:3], physical[3:6], out=out)
+
+
 def pointwise_multiply(f: SpectralField, g: SpectralField, ctx: ModelContext) -> SpectralField:
     """Component-wise product (f_i g_i), dealiased and truncated back onto
     the lattice."""
     _check_same_truncation(f, g)
-    lat = ctx.lattice
-    plan = lat.plan(lat.product_ng)
-    stack = np.empty((6,) + plan.half_shape, dtype=np.complex128)
-    stack[0:3] = plan.scatter(f.coeffs)
-    stack[3:6] = plan.scatter(g.coeffs)
-    phys = plan.to_physical(stack)
-    prod = phys[0:3] * phys[3:6]
-    return SpectralField(ctx.n, plan.gather(plan.to_spectrum(prod)))
+    grid = ctx.lattice.product_grid()
+    stack = np.concatenate([grid.rows(f.coeffs), grid.rows(g.coeffs)])
+    return SpectralField(ctx.n, grid.transform(stack, _componentwise_products))
 
 
 def commutator(f: SpectralField, g: SpectralField, s: float, ctx: ModelContext) -> SpectralField:

@@ -25,7 +25,7 @@ from .fields import (
     to_grid,
 )
 from .integrator import InitialData, RunConfig, run_trajectory, smooth_cutoff
-from .nonlinear import leray_advection, trilinear
+from .nonlinear import leray_advection, pointwise_multiply, trilinear
 from .noise import LinearMultiplicativeNoise
 from .snapshots import SnapshotMeta, read_snapshot, write_snapshot
 
@@ -107,6 +107,18 @@ def _check_single_mode_advection() -> str:
     return f"max |B| = {peak:.1e}"
 
 
+def _check_product_grid() -> str:
+    # the pruned transforms rely on pocketfft's axis order inside irfftn/rfftn
+    u = random_field(_CTX, seed=21)
+    v = random_field(_CTX, seed=22)
+    lat = _CTX.lattice
+    plan = lat.plan(lat.product_ng)
+    phys = plan.to_physical(np.concatenate([plan.scatter(u.coeffs), plan.scatter(v.coeffs)]))
+    full = plan.gather(plan.to_spectrum(phys[0:3] * phys[3:6]))
+    assert np.array_equal(pointwise_multiply(u, v, _CTX).coeffs, full), "differs from the full-grid transforms"
+    return "bitwise equal to the full-grid transforms"
+
+
 def _check_linear_decay() -> str:
     ctx = ModelContext(nu=0.1, alpha=1.0, theta1=1.0, theta2=1.0, n=2)
     cfg = RunConfig(
@@ -165,6 +177,7 @@ CHECKS = [
     ("advection cancellation", _check_cancellation),
     ("trilinear skew symmetry", _check_skew_symmetry),
     ("single-mode advection vanishes", _check_single_mode_advection),
+    ("product-grid kernel", _check_product_grid),
     ("linear decay", _check_linear_decay),
     ("cutoff profile", _check_cutoff_profile),
     ("snapshot round-trip", _check_snapshot_round_trip),

@@ -79,6 +79,34 @@ def test_dt_not_smaller_than_horizon_rejected():
         parse_config(bad)
 
 
+def test_off_grid_times_rejected():
+    # dt = 0.3, T = 1.0 would end at t = 0.9 and snapshot every 0.3
+    bad = MINIMAL.replace("dt = 0.01", "dt = 0.3")
+    with pytest.raises(ConfigError, match=r"\[time\] T = 1.0 is not a whole number of steps"):
+        parse_config(bad)
+    bad = MINIMAL.replace("T = 1.0", "T = 1.0\nsnapshot_every = 0.025")
+    with pytest.raises(ConfigError, match=r"\[time\] snapshot_every = 0.025 is not a whole number of steps"):
+        parse_config(bad)
+    bad = MINIMAL.replace("T = 1.0", "T = 1.0\nsnapshot_every = 0.005")
+    with pytest.raises(ConfigError, match="snapshot_every"):
+        parse_config(bad)
+
+
+def test_on_grid_times_accepted():
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point
+    text = MINIMAL.replace("dt = 0.01", "dt = 0.1").replace("T = 1.0", "T = 0.3\nsnapshot_every = 0.3")
+    run = parse_config(text).run
+    assert run.steps == 3 and run.snapshot_every == 0.3
+
+
+@pytest.mark.parametrize("dt, horizon, cadence", [(0.01, 1.0, 10), (0.04, 1.0, 2), (0.1, 0.3, 1), (0.25, 2.0, 1)])
+def test_default_snapshot_cadence_is_never_rejected(dt, horizon, cadence):
+    # the step count nearest T/10 (round half to even), as before the check
+    text = MINIMAL.replace("dt = 0.01", f"dt = {dt}").replace("T = 1.0", f"T = {horizon}")
+    run = parse_config(text).run
+    assert round(run.snapshot_every / run.dt) == cadence == max(1, round(horizon / 10 / dt))
+
+
 def test_non_finite_rejected():
     bad = MINIMAL.replace("nu = 1.0", "nu = inf")
     with pytest.raises(ConfigError, match="finite"):

@@ -387,6 +387,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="horizon"):
             linear_cfg(dt=2.0, horizon=1.0)
 
+    def test_off_grid_times_rejected(self):
+        with pytest.raises(ValueError, match="horizon T = 1.0 is not a whole number of steps dt = 0.3"):
+            linear_cfg(dt=0.3, horizon=1.0)
+        with pytest.raises(ValueError, match="snapshot cadence 0.25 is not a whole number of steps dt = 0.1"):
+            linear_cfg(dt=0.1, snapshot_every=0.25)
+        with pytest.raises(ValueError, match="snapshot cadence"):
+            linear_cfg(snapshot_every=5e-4)
+        # within the relative tolerance of 1e-9
+        assert linear_cfg(dt=0.1, horizon=0.3, snapshot_every=0.2).steps == 3
+        assert linear_cfg(dt=1e-3, horizon=1.0 + 1e-12).steps == 1000
+
     def test_cutoff_radius_positive(self):
         with pytest.raises(ValueError, match="cutoff"):
             linear_cfg(cutoff_radius=-1.0)

@@ -1,6 +1,8 @@
 """Wiener increment streams and the shipped noise coefficient families."""
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +28,10 @@ from leray_alpha.noise import decay_modes
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def _draw_three(stream):
+    return [wiener_increment(stream, 0.01, m).values for m in range(3)]
+
+
 class TestWienerIncrements:
     def test_rejects_bad_dt(self):
         stream = WienerStream(1, 0, 2)
@@ -47,6 +53,27 @@ class TestWienerIncrements:
         c = wiener_increment(WienerStream(42, 8, 3), 0.01, 5)
         assert not np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize("dim", [1, 3, 300])
+    def test_reused_generator_equals_fresh_one(self, dim):
+        # one Philox per stream, reset per step, draws what a generator built
+        # for that step draws, in any step order
+        def fresh(step):
+            bitgen = np.random.Philox(
+                key=np.array([42, 7], dtype=np.uint64), counter=np.array([0, 0, 0, step], dtype=np.uint64)
+            )
+            return np.random.Generator(bitgen).standard_normal(dim) * math.sqrt(0.01)
+
+        stream = WienerStream(42, 7, dim)
+        for step in (0, 1, 2, 2**40, 1, 0, 2**40, 2):
+            assert np.array_equal(wiener_increment(stream, 0.01, step).values, fresh(step))
+
+    def test_pickled_stream_draws_in_a_pool(self):
+        stream = WienerStream(42, 7, 3)
+        expected = [wiener_increment(stream, 0.01, m).values for m in range(3)]
+        with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            drawn = pool.submit(_draw_three, stream).result(timeout=60)
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
 
     def test_moments_match_clt_bounds(self):
         # fixed seed: CLT windows evaluated at test time

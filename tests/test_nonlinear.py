@@ -21,7 +21,7 @@ from leray_alpha import (
     sobolev_norm,
     trilinear,
 )
-from leray_alpha.fields import lattice
+from leray_alpha.fields import get_fft_workers, lattice, set_fft_workers
 from leray_alpha.nonlinear import convective_commutator, gradient_lp_norm, pointwise_multiply
 
 from oracles import brute_advection
@@ -264,3 +264,74 @@ class TestCommutator:
             worst = max(worst, numerator / denominator)
         print(f"convective commutator ratio max over 100 fields: {worst:.4f}")
         assert math.isfinite(worst) and worst > 0
+
+
+def full_grid_advect(u, v, ctx, project=True):
+    """advect on the whole rfftn layout of the product grid."""
+    lat = ctx.lattice
+    plan = lat.plan(lat.product_ng)
+    stack = np.empty((12,) + plan.half_shape, dtype=np.complex128)
+    stack[0:3] = plan.scatter(u.coeffs)
+    spec_v = plan.scatter(v.coeffs)
+    for m, km in enumerate((plan.kx, plan.ky, plan.kz)):
+        np.multiply(spec_v, km, out=stack[3 + 3 * m : 6 + 3 * m])
+    stack[3:12] *= 1j
+    phys = plan.to_physical(stack)
+    conv = np.empty((3, plan.ng, plan.ng, plan.ng))
+    for j in range(3):
+        np.multiply(phys[0], phys[3 + j], out=conv[j])
+        conv[j] += phys[1] * phys[6 + j]
+        conv[j] += phys[2] * phys[9 + j]
+    coeffs = plan.gather(plan.to_spectrum(conv))
+    if project:
+        dots = np.einsum("ij,ij->i", coeffs, lat.kfloat)
+        coeffs -= (dots / lat.k_sq)[:, None] * lat.kfloat
+    return coeffs
+
+
+def full_grid_multiply(f, g, ctx):
+    lat = ctx.lattice
+    plan = lat.plan(lat.product_ng)
+    phys = plan.to_physical(np.concatenate([plan.scatter(f.coeffs), plan.scatter(g.coeffs)]))
+    return plan.gather(plan.to_spectrum(phys[0:3] * phys[3:6]))
+
+
+@pytest.fixture(params=[1, 2], ids=["fft1", "fft2"])
+def fft_workers(request):
+    saved = get_fft_workers()
+    set_fft_workers(request.param)
+    yield request.param
+    set_fft_workers(saved)
+
+
+class TestProductGridKernel:
+    """The pruned slab-streamed transforms equal the full-grid path bit for
+    bit, on odd and even product grids."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16])
+    def test_equals_full_grid(self, n, fft_workers):
+        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=n)
+        u = random_field(ctx, seed=n)
+        v = random_field(ctx, seed=n + 100)
+        gu = helmholtz_filter(u, ctx)
+        assert np.array_equal(advect(gu, v, ctx).coeffs, full_grid_advect(gu, v, ctx))
+        assert np.array_equal(advect(gu, v, ctx, project=False).coeffs, full_grid_advect(gu, v, ctx, project=False))
+        assert np.array_equal(pointwise_multiply(u, v, ctx).coeffs, full_grid_multiply(u, v, ctx))
+
+    def test_product_grid_sizes(self):
+        assert [lattice(n).product_ng for n in (1, 2, 3, 4, 5, 8, 16)] == [5, 8, 12, 15, 18, 27, 50]
+
+    def test_workspace_reuse_leaks_no_state(self):
+        ctxs = [ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=n) for n in (3, 4)]
+        inputs = [(c, random_field(c, seed=s), random_field(c, seed=s + 1)) for c in ctxs for s in (7, 9)]
+        fresh = [
+            (full_grid_advect(u, v, c), full_grid_advect(v, u, c, project=False), full_grid_multiply(u, v, c))
+            for c, u, v in inputs
+        ]
+        for _ in range(2):
+            for (c, u, v), expected in zip(inputs, fresh):
+                # a pointwise product between advections reuses the same
+                # buffers with fewer fields
+                assert np.array_equal(advect(u, v, c).coeffs, expected[0])
+                assert np.array_equal(pointwise_multiply(u, v, c).coeffs, expected[2])
+                assert np.array_equal(advect(v, u, c, project=False).coeffs, expected[1])
