@@ -27,8 +27,9 @@ from .fields import (
     ModelContext,
     NonFiniteStateError,
     SpectralField,
-    inner_product,
+    inner_products,
     random_field,
+    scalar_squares,
     set_fft_workers,
 )
 from .nonlinear import leray_advection
@@ -246,64 +247,82 @@ class TrajectoryRecord:
 
 
 class _StepCore:
-    """Per-run constants and the one update step() and run_trajectory()
-    share."""
+    """Per-run constants and the one update that step(), run_trajectory()
+    and ensemble chunks share: it advances K trajectories of one setup, which
+    differ only in trajectory_id, from a (K, M, 3) state block."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         lat = cfg.ctx.lattice
         th2 = cfg.ctx.theta2
         self.denom = (1.0 + cfg.dt * cfg.ctx.nu * cfg.ctx.dissipation_multiplier)[:, None]
-        self.norm_weights = [lat.power(2.0 * s) for s in (0.0, 1.0, th2, th2 + 1.0)]
+        # |k|^{2s} for s = 0, 1, theta2, theta2 + 1
+        self.weights = [lat.power(2.0 * s) for s in (0.0, 1.0, th2, th2 + 1.0)]
 
-    def norms(self, coeffs: np.ndarray) -> list[float]:
-        """||u||_0, ||u||_1, ||u||_theta2, ||u||_{theta2+1}."""
-        e = np.sum(np.abs(coeffs) ** 2, axis=1)
-        return [math.sqrt(2.0 * float(np.sum(w * e))) for w in self.norm_weights]
+    def norms(self, coeffs: np.ndarray) -> np.ndarray:
+        """||u||_0, ||u||_1, ||u||_theta2, ||u||_{theta2+1} of coefficients
+        (..., M, 3), along a last axis of length 4."""
+        e = np.sum(np.abs(coeffs) ** 2, axis=-1)
+        return np.sqrt(2.0 * np.stack([(w * e).sum(axis=-1) for w in self.weights], axis=-1))
+
+    def advection(self, coeffs: np.ndarray) -> np.ndarray:
+        """B(Gu, u) of one state, or nan where it is not finite: the new
+        state and its norms then are not finite either."""
+        try:
+            return leray_advection(SpectralField(self.cfg.ctx.n, coeffs), self.cfg.ctx).coeffs
+        except NonFiniteStateError:
+            return np.full_like(coeffs, np.nan)
 
     def advance(
-        self, u: SpectralField, step_index: int, stream: WienerStream, rows: np.ndarray, inc: np.ndarray
-    ) -> SpectralField | None:
-        """One semi-implicit Euler-Maruyama step from u at grid step
-        step_index.  rows is the (len(SERIES_COLUMNS), 2) slice of the series
-        block at grid steps (m, m + 1): column 0 is read, and column 1 gets the
-        new norms and cumulative integrals (its t is left alone).  inc gets the
-        step's ledger increments.  Returns None, and leaves inc unwritten, when
-        the new state or its norms are not finite."""
+        self, u: np.ndarray, step_index: int, streams: list[WienerStream], rows: np.ndarray, inc: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One semi-implicit Euler-Maruyama step of K trajectories from their
+        states u (K, M, 3) at grid step step_index; streams[k] drives member
+        k.  rows is the (K, len(SERIES_COLUMNS), 2) slice of the series block
+        at grid steps (m, m + 1): column 0 is read, and column 1 gets the new
+        norms and cumulative integrals (its t is left alone).  inc (K,
+        len(INCREMENT_COLUMNS)) gets the step's ledger increments.  Returns
+        the new states and a (K,) mask of the members whose advection, new
+        state and norms are finite; the rows and increments of the others
+        hold garbage.
+
+        The cutoff, the advection and the Gaussian draws are made per member
+        (scalar math.exp, one product-grid transform per state, one Philox key
+        per stream); the rest is elementwise or a reduction along the last
+        axis of C-contiguous blocks, which numpy sums per row as it would for
+        one state, so each member's numbers are those of a run of its own."""
         cfg = self.cfg
-        _, l2, h1, th2, th2p1, int_th2, int_th2p1, injection = rows
-        chi = 1.0
-        if cfg.cutoff_radius is not None:
-            chi = smooth_cutoff(h1[0], cfg.cutoff_radius)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                bconv = leray_advection(u, cfg.ctx) if cfg.nonlinear else None
-                gw = cfg.noise.apply(u, wiener_increment(stream, cfg.dt, step_index))
-                new = u.coeffs + chi * gw.coeffs
-                if bconv is not None:
-                    new = new - (cfg.dt * chi) * bconv.coeffs
-                new = SpectralField(cfg.ctx.n, new / self.denom)
-                norms = self.norms(new.coeffs)
-                if not all(map(math.isfinite, norms)):
-                    return None
-                hs_l2, hs_h1 = cfg.noise._ledger_hs_norms_sq(u, float(l2[0]), float(h1[0]))
-                inj_l2 = chi * chi * hs_l2 * cfg.dt
-                # INCREMENT_COLUMNS order
-                inc[:] = (
-                    2.0 * chi * inner_product(gw, u, 0.0),
-                    inj_l2,
-                    2.0 * chi * inner_product(gw, u, 1.0),
-                    chi * chi * hs_h1 * cfg.dt,
-                    2.0 * chi * inner_product(bconv, u, 1.0) * cfg.dt if bconv is not None else 0.0,
-                    chi,
-                )
-        except NonFiniteStateError:
-            return None
-        rows[_NORM_ROWS, 1] = norms
-        int_th2[1] = int_th2[0] + 0.5 * cfg.dt * (th2[0] ** 2 + th2[1] ** 2)
-        int_th2p1[1] = int_th2p1[0] + 0.5 * cfg.dt * (th2p1[0] ** 2 + th2p1[1] ** 2)
-        injection[1] = injection[0] + inj_l2
-        return new
+        _, l2, h1, th2, th2p1, int_th2, int_th2p1, injection = rows.swapaxes(0, 1)
+        if cfg.cutoff_radius is None:
+            chi = np.ones(len(u))
+        else:
+            chi = np.array([smooth_cutoff(x, cfg.cutoff_radius) for x in h1[:, 0].tolist()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            bconv = np.stack([self.advection(coeffs) for coeffs in u]) if cfg.nonlinear else None
+            dw = np.array([wiener_increment(stream, cfg.dt, step_index).values for stream in streams])
+            gw = cfg.noise._apply_block(u, dw)
+            new = u + chi[:, None, None] * gw
+            if bconv is not None:
+                new -= (cfg.dt * chi)[:, None, None] * bconv
+            new /= self.denom
+            norms = self.norms(new)
+            # ||u||_0 weighs every mode, so finite norms imply a finite state
+            finite = np.isfinite(norms).all(axis=1)
+            hs_l2, hs_h1 = cfg.noise._ledger_hs_norms_sq(u, l2[:, 0], h1[:, 0])
+            inj_l2 = chi * chi * hs_l2 * cfg.dt
+            mart_l2, mart_h1 = inner_products(gw, u, self.weights[:2]).T
+            adv_h1 = np.zeros(len(u))
+            if bconv is not None:
+                adv_h1 = 2.0 * chi * inner_products(bconv, u, self.weights[1:2])[:, 0] * cfg.dt
+            # INCREMENT_COLUMNS order
+            inc.T[:] = (2.0 * chi * mart_l2, inj_l2, 2.0 * chi * mart_h1, chi * chi * hs_h1 * cfg.dt, adv_h1, chi)
+            rows[:, _NORM_ROWS, 1] = norms
+            int_th2[:, 1] = int_th2[:, 0] + 0.5 * cfg.dt * (scalar_squares(th2[:, 0]) + scalar_squares(th2[:, 1]))
+            int_th2p1[:, 1] = int_th2p1[:, 0] + 0.5 * cfg.dt * (
+                scalar_squares(th2p1[:, 0]) + scalar_squares(th2p1[:, 1])
+            )
+            injection[:, 1] = injection[:, 0] + inj_l2
+        return new, finite
 
 
 def initial_state(cfg: RunConfig) -> TrajectoryState:
@@ -321,57 +340,86 @@ def step(state: TrajectoryState, cfg: RunConfig) -> TrajectoryState:
     if state.halted is not None:
         raise ValueError("cannot step a halted trajectory")
     core = _StepCore(cfg)
-    rows = np.zeros((len(SERIES_COLUMNS), 2))
-    rows[_NORM_ROWS, 0] = core.norms(state.u.coeffs)
-    new = core.advance(state.u, state.step_index, state.stream, rows, np.zeros(len(INCREMENT_COLUMNS)))
+    rows = np.zeros((1, len(SERIES_COLUMNS), 2))
+    rows[0, _NORM_ROWS, 0] = core.norms(state.u.coeffs)
+    new, finite = core.advance(
+        state.u.coeffs[None], state.step_index, [state.stream], rows, np.zeros((1, len(INCREMENT_COLUMNS)))
+    )
     t_next = (state.step_index + 1) * cfg.dt
-    if new is None:
+    if not finite[0]:
         return replace(state, halted=StoppingRecord("overflow", math.inf, t_next))
-    return TrajectoryState(t=t_next, u=new, step_index=state.step_index + 1, stream=state.stream)
+    return TrajectoryState(
+        t=t_next, u=SpectralField(cfg.ctx.n, new[0]), step_index=state.step_index + 1, stream=state.stream
+    )
 
 
 def run_trajectory(cfg: RunConfig) -> TrajectoryRecord:
     """Integrate one path over [0, steps * dt], recording norms, ledger
     increments and snapshots at the configured cadence."""
-    core = _StepCore(cfg)
-    state0 = initial_state(cfg)
-    stream = state0.stream
-    u = state0.u
-    steps = cfg.steps
+    return _run_lockstep([cfg])[0]
 
-    series = np.zeros((len(SERIES_COLUMNS), steps + 1))
-    increments = np.zeros((len(INCREMENT_COLUMNS), steps))
-    t = series[0]
-    t[:] = np.arange(steps + 1) * cfg.dt
-    series[_NORM_ROWS, 0] = core.norms(u.coeffs)
+
+def _run_lockstep(cfgs: list[RunConfig]) -> list[TrajectoryRecord]:
+    """Integrate trajectories that differ only in trajectory_id in lockstep,
+    one _StepCore.advance per grid step.  A member whose step is not finite
+    leaves the live set; its record ends at its last finite state, as in a
+    run of its own, and the others carry on."""
+    cfg = cfgs[0]
+    core = _StepCore(cfg)
+    n, steps = cfg.ctx.n, cfg.steps
+    u0 = initial_state(cfg).u  # the initial data does not depend on the trajectory id
+    u = np.repeat(u0.coeffs[None], len(cfgs), axis=0)
+    streams = [WienerStream(c.seed, c.trajectory_id, c.noise.dim) for c in cfgs]
+
+    # row k of u, series, increments and streams is member live[k]
+    live = list(range(len(cfgs)))
+    series = np.zeros((len(cfgs), len(SERIES_COLUMNS), steps + 1))
+    increments = np.zeros((len(cfgs), len(INCREMENT_COLUMNS), steps))
+    t = np.arange(steps + 1) * cfg.dt
+    series[:, 0] = t
+    series[:, _NORM_ROWS, 0] = core.norms(u0.coeffs)
 
     cadence = None
     if cfg.snapshot_every is not None:
         cadence = max(1, int(round(cfg.snapshot_every / cfg.dt)))
-    snapshots: list[tuple[float, SpectralField]] = []
-    if cadence is not None:
-        snapshots.append((0.0, u))
+    snapshots: list[list[tuple[float, SpectralField]]] = [[(0.0, u0)] if cadence is not None else [] for _ in cfgs]
+    records: list[TrajectoryRecord | None] = [None] * len(cfgs)
 
-    overflow = None
-    last = steps
+    def finish(row: int, last: int, overflow: StoppingRecord | None) -> None:
+        # Records, snapshots and final fields are views of the blocks, whose
+        # other rows belong to the other members; a halting member copies
+        # its rows out, as the blocks are about to be compacted.
+        member = live[row]
+        rows, incs, final = series[row, :, : last + 1], increments[row, :, :last], u[row]
+        if overflow is not None:
+            rows, incs, final = rows.copy(), incs.copy(), final.copy()
+        records[member] = TrajectoryRecord(
+            cfg=cfgs[member],
+            **dict(zip(SERIES_COLUMNS, rows)),
+            **dict(zip(INCREMENT_COLUMNS, incs)),
+            overflow=overflow,
+            snapshots=tuple(snapshots[member]),
+            final_field=SpectralField(n, final),
+        )
+
     for m in range(steps):
-        new = core.advance(u, m, stream, series[:, m : m + 2], increments[:, m])
-        if new is None:
-            overflow = StoppingRecord("overflow", math.inf, t[m + 1])
-            last = m
-            break
+        new, finite = core.advance(u, m, streams, series[:, :, m : m + 2], increments[:, :, m])
+        if not finite.all():
+            for row in np.flatnonzero(~finite):
+                finish(row, m, StoppingRecord("overflow", math.inf, t[m + 1]))
+            keep = np.flatnonzero(finite)
+            live = [live[row] for row in keep]
+            streams = [streams[row] for row in keep]
+            new, series, increments = new[keep], series[keep], increments[keep]
+            if not live:
+                break
         u = new
         if cadence is not None and ((m + 1) % cadence == 0 or m + 1 == steps):
-            snapshots.append((t[m + 1], u))
-
-    return TrajectoryRecord(
-        cfg=cfg,
-        **dict(zip(SERIES_COLUMNS, series[:, : last + 1])),
-        **dict(zip(INCREMENT_COLUMNS, increments[:, :last])),
-        overflow=overflow,
-        snapshots=tuple(snapshots),
-        final_field=u,
-    )
+            for row, member in enumerate(live):
+                snapshots[member].append((t[m + 1], SpectralField(n, u[row])))
+    for row in range(len(live)):
+        finish(row, steps, None)
+    return records
 
 
 def detect_stopping(record: TrajectoryRecord, kind: str, threshold: float) -> float | None:
@@ -395,8 +443,43 @@ def detect_stopping(record: TrajectoryRecord, kind: str, threshold: float) -> fl
 # ensembles
 
 
-def _pool_worker(cfg: RunConfig) -> TrajectoryRecord:
-    return run_trajectory(cfg)
+@dataclass(frozen=True)
+class _Chunk:
+    """Trajectories trajectory_id, ..., trajectory_id + size - 1 of the
+    ensemble of cfg, advanced in lockstep by one process."""
+
+    cfg: RunConfig
+    size: int
+
+    @property
+    def trajectory_id(self) -> int:
+        return self.cfg.trajectory_id
+
+    def run(self) -> list[TrajectoryRecord]:
+        first = self.cfg.trajectory_id
+        return _run_lockstep([replace(self.cfg, trajectory_id=first + i) for i in range(self.size)])
+
+
+# Bytes of state and record one lockstep chunk may hold, which also bounds
+# what one pool task sends back.  A member carries 48 bytes of state per mode
+# and 8 bytes per series and increment row per step: the 500-step n = 1 OU
+# ensemble runs 9 members per chunk, and from n = 16 on a chunk has one, so
+# no chunk allocates (K, M, 3) blocks of many megabytes.
+_CHUNK_BYTES = 1 << 19
+
+
+def _chunks(cfg: RunConfig, size: int, workers: int) -> list[_Chunk]:
+    """Contiguous chunks of the ids 0..size-1, at least one per worker and
+    each within _CHUNK_BYTES, their sizes differing by at most 1."""
+    modes = ((2 * cfg.ctx.n + 1) ** 3 - 1) // 2  # without building the lattice in this process
+    member = 48 * modes + 8 * (len(SERIES_COLUMNS) + len(INCREMENT_COLUMNS)) * (cfg.steps + 1)
+    count = max(min(workers, size), -(-size // max(1, _CHUNK_BYTES // member)))
+    bounds = [size * i // count for i in range(count + 1)]
+    return [_Chunk(replace(cfg, trajectory_id=a), b - a) for a, b in zip(bounds, bounds[1:])]
+
+
+def _pool_worker(chunk: _Chunk) -> list[TrajectoryRecord]:
+    return chunk.run()
 
 
 def _pool_init(fft_workers: int) -> None:
@@ -404,17 +487,19 @@ def _pool_init(fft_workers: int) -> None:
 
 
 def run_ensemble(cfg: RunConfig, size: int, workers: int = 1) -> list[TrajectoryRecord]:
-    """Run `size` trajectories with ids 0..size-1.  Records are identical for
-    any worker count: streams are keyed by (seed, id) and never shared."""
+    """Run `size` trajectories with ids 0..size-1, in lockstep chunks.
+    Records are identical for any worker count and chunking: streams are
+    keyed by (seed, id) and never shared, and a chunk member's numbers are
+    those of a run of its own."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
-    cfgs = [replace(cfg, trajectory_id=i) for i in range(size)]
+    chunks = _chunks(cfg, size, workers)
     if workers <= 1 or size == 1:
-        return [run_trajectory(c) for c in cfgs]
+        return [record for chunk in chunks for record in chunk.run()]
     import os
 
     per_child = max(1, (os.cpu_count() or 1) // workers)
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_pool_init, initargs=(per_child,)
     ) as pool:
-        return list(pool.map(_pool_worker, cfgs, chunksize=max(1, size // (4 * workers))))
+        return [record for records in pool.map(_pool_worker, chunks) for record in records]

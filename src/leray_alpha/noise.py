@@ -25,6 +25,7 @@ from .fields import (
     lattice,
     polarization,
     random_field,
+    scalar_squares,
     sobolev_norm,
 )
 
@@ -95,7 +96,9 @@ def wiener_increment(stream: WienerStream, dt: float, step: int) -> WienerIncrem
 
 
 class NoiseFamily:
-    """Base for concrete noise coefficient realisations."""
+    """Base for concrete noise coefficient realisations.  A family computes
+    g(u) dW and the ledger's Hilbert-Schmidt norms for a block of K states
+    (K, M, 3) at once; apply() is the one-state case."""
 
     kind: str = "abstract"
 
@@ -104,15 +107,22 @@ class NoiseFamily:
         raise NotImplementedError
 
     def apply(self, u: SpectralField, incr: WienerIncrement) -> SpectralField:
+        self._check_increment(incr)
+        self._check_state(u)
+        return SpectralField(u.n, self._apply_block(u.coeffs[None], incr.values[None])[0])
+
+    def _apply_block(self, coeffs: np.ndarray, increments: np.ndarray) -> np.ndarray:
+        """g(u_k) dW_k for states (K, M, 3) and their increments (K, dim)."""
         raise NotImplementedError
 
     def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
         raise NotImplementedError
 
-    def _ledger_hs_norms_sq(self, u: SpectralField, norm_l2: float, norm_h1: float) -> tuple[float, float]:
-        """hs_norm_sq(u, 0) and hs_norm_sq(u, 1) for the energy ledger, which
-        already holds ||u||_0 and ||u||_1."""
-        return self.hs_norm_sq(u, 0.0), self.hs_norm_sq(u, 1.0)
+    def _ledger_hs_norms_sq(self, coeffs: np.ndarray, norm_l2: np.ndarray, norm_h1: np.ndarray):
+        """hs_norm_sq(u_k, 0) and hs_norm_sq(u_k, 1) of states (K, M, 3) for
+        the energy ledger, which already holds ||u_k||_0 and ||u_k||_1 (K,);
+        each is broadcastable to (K,)."""
+        raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -126,6 +136,9 @@ class NoiseFamily:
             raise ValueError(
                 f"increment dimension {incr.values.shape} does not match driver dimension {self.dim}"
             )
+
+    def _check_state(self, u: SpectralField) -> None:
+        pass
 
 
 def _normalize_modes(modes, sigmas, n: int):
@@ -145,58 +158,76 @@ def _normalize_modes(modes, sigmas, n: int):
     return tuple(canon), tuple(sig)
 
 
-def _mode_rows(modes, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice rows of the canonical modes and their |k|^2."""
-    lat = lattice(n)
-    rows = np.array([lat.index_of(k) for k in modes])
-    return rows, lat.k_sq[rows]
-
-
 @dataclass(frozen=True)
-class AdditiveNoise(NoiseFamily):
-    """g(u) e_j = sigma_j f_j with f_j the unit-norm divergence-free field
-    carrying the single mode pair +-k_j."""
+class _ModeNoise(NoiseFamily):
+    """A family with one driver per canonical mode k_j of truncation n, with
+    amplitude sigma_j.  The lattice rows of the modes and their |k|^2 are
+    built once (non-compared fields: equality, hashing and signature() see
+    only modes, sigmas, n and kind)."""
 
     modes: tuple[tuple[int, int, int], ...]
     sigmas: tuple[float, ...]
     n: int
-    kind: str = field(default="additive", init=False)
+    kind: str = field(default="", init=False)
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _vecs: np.ndarray = field(init=False, repr=False, compare=False)
     _k_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         modes, sigmas = _normalize_modes(self.modes, self.sigmas, self.n)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "sigmas", sigmas)
-        rows, k_sq = _mode_rows(modes, self.n)
-        vecs = np.stack([polarization(k) for k in modes]) / math.sqrt(2.0)
+        rows = np.array([lattice(self.n).index_of(k) for k in modes])
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_vecs", vecs)
-        object.__setattr__(self, "_k_sq", k_sq)
+        object.__setattr__(self, "_k_sq", lattice(self.n).k_sq[rows])
 
     @property
     def dim(self) -> int:
         return len(self.modes)
 
-    def apply(self, u: SpectralField, incr: WienerIncrement) -> SpectralField:
-        self._check_increment(incr)
+    def _check_state(self, u: SpectralField) -> None:
         if u.n != self.n:
             raise ValueError(f"state truncation n={u.n} does not match noise n={self.n}")
-        coeffs = np.zeros((lattice(self.n).size, 3), dtype=np.complex128)
-        amp = np.asarray(self.sigmas) * incr.values
-        np.add.at(coeffs, self._rows, amp[:, None] * self._vecs)
-        return SpectralField(self.n, coeffs)
-
-    def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
-        return float(np.sum(np.asarray(self.sigmas) ** 2 * self._k_sq**s))
 
     def describe(self) -> str:
         parts = ", ".join(f"{k}:{s:g}" for k, s in zip(self.modes, self.sigmas))
-        return f"additive[{parts}]"
+        return f"{self.kind}[{parts}]"
 
     def signature(self) -> tuple:
-        return ("additive", self.n, self.modes, self.sigmas)
+        return (self.kind, self.n, self.modes, self.sigmas)
+
+
+@dataclass(frozen=True)
+class AdditiveNoise(_ModeNoise):
+    """g(u) e_j = sigma_j f_j with f_j the unit-norm divergence-free field
+    carrying the single mode pair +-k_j."""
+
+    kind: str = field(default="additive", init=False)
+    _vecs: np.ndarray = field(init=False, repr=False, compare=False)
+    _ledger_hs: tuple[float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        vecs = np.stack([polarization(k) for k in self.modes]) / math.sqrt(2.0)
+        object.__setattr__(self, "_vecs", vecs)
+        # the state-independent ledger norms, s = 0 and 1
+        object.__setattr__(self, "_ledger_hs", (self.hs_norm_sq(None, 0.0), self.hs_norm_sq(None, 1.0)))
+
+    # each family carries apply in its own namespace, where perfbench/spans.py
+    # times the layer
+    apply = NoiseFamily.apply
+
+    def _apply_block(self, coeffs: np.ndarray, increments: np.ndarray) -> np.ndarray:
+        out = np.zeros(coeffs.shape, dtype=np.complex128)
+        amp = np.asarray(self.sigmas) * increments
+        # 0.0 + x, as accumulating into the zeros would: -0.0 becomes +0.0
+        out[:, self._rows] = 0.0 + amp[:, :, None] * self._vecs
+        return out
+
+    def hs_norm_sq(self, u: SpectralField | None, s: float = 0.0) -> float:
+        return float(np.sum(np.asarray(self.sigmas) ** 2 * self._k_sq**s))
+
+    def _ledger_hs_norms_sq(self, coeffs, norm_l2, norm_h1):
+        return self._ledger_hs
 
 
 @dataclass(frozen=True)
@@ -214,15 +245,16 @@ class LinearMultiplicativeNoise(NoiseFamily):
     def dim(self) -> int:
         return 1
 
-    def apply(self, u: SpectralField, incr: WienerIncrement) -> SpectralField:
-        self._check_increment(incr)
-        return SpectralField(u.n, (self.sigma * incr.values[0]) * u.coeffs)
+    apply = NoiseFamily.apply
+
+    def _apply_block(self, coeffs: np.ndarray, increments: np.ndarray) -> np.ndarray:
+        return (self.sigma * increments[:, 0])[:, None, None] * coeffs
 
     def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
         return self.sigma**2 * sobolev_norm(u, s) ** 2
 
-    def _ledger_hs_norms_sq(self, u: SpectralField, norm_l2: float, norm_h1: float) -> tuple[float, float]:
-        return self.sigma**2 * norm_l2**2, self.sigma**2 * norm_h1**2
+    def _ledger_hs_norms_sq(self, coeffs, norm_l2, norm_h1):
+        return self.sigma**2 * scalar_squares(norm_l2), self.sigma**2 * scalar_squares(norm_h1)
 
     def describe(self) -> str:
         return f"linear-multiplicative[sigma={self.sigma:g}]"
@@ -232,47 +264,28 @@ class LinearMultiplicativeNoise(NoiseFamily):
 
 
 @dataclass(frozen=True)
-class DiagonalSpectralNoise(NoiseFamily):
+class DiagonalSpectralNoise(_ModeNoise):
     """Driver j rescales the +-k_j coefficient pair of u by sigma_j."""
 
-    modes: tuple[tuple[int, int, int], ...]
-    sigmas: tuple[float, ...]
-    n: int
     kind: str = field(default="diagonal-spectral", init=False)
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _k_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        modes, sigmas = _normalize_modes(self.modes, self.sigmas, self.n)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "sigmas", sigmas)
-        rows, k_sq = _mode_rows(modes, self.n)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_k_sq", k_sq)
+    apply = NoiseFamily.apply
 
-    @property
-    def dim(self) -> int:
-        return len(self.modes)
+    def _apply_block(self, coeffs: np.ndarray, increments: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(coeffs)
+        scale = np.asarray(self.sigmas) * increments
+        out[:, self._rows] = scale[:, :, None] * coeffs[:, self._rows]
+        return out
 
-    def apply(self, u: SpectralField, incr: WienerIncrement) -> SpectralField:
-        self._check_increment(incr)
-        if u.n != self.n:
-            raise ValueError(f"state truncation n={u.n} does not match noise n={self.n}")
-        coeffs = np.zeros_like(u.coeffs)
-        scale = np.asarray(self.sigmas) * incr.values
-        coeffs[self._rows] = scale[:, None] * u.coeffs[self._rows]
-        return SpectralField(self.n, coeffs)
+    def _hs_norms_sq(self, coeffs: np.ndarray, s: float) -> np.ndarray:
+        energies = 2.0 * np.sum(np.abs(coeffs[:, self._rows]) ** 2, axis=-1)
+        return np.sum(np.asarray(self.sigmas) ** 2 * self._k_sq**s * energies, axis=-1)
 
     def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
-        energies = 2.0 * np.sum(np.abs(u.coeffs[self._rows]) ** 2, axis=1)
-        return float(np.sum(np.asarray(self.sigmas) ** 2 * self._k_sq**s * energies))
+        return float(self._hs_norms_sq(u.coeffs[None], s)[0])
 
-    def describe(self) -> str:
-        parts = ", ".join(f"{k}:{s:g}" for k, s in zip(self.modes, self.sigmas))
-        return f"diagonal-spectral[{parts}]"
-
-    def signature(self) -> tuple:
-        return ("diagonal-spectral", self.n, self.modes, self.sigmas)
+    def _ledger_hs_norms_sq(self, coeffs, norm_l2, norm_h1):
+        return self._hs_norms_sq(coeffs, 0.0), self._hs_norms_sq(coeffs, 1.0)
 
 
 def decay_modes(n: int, driver_dim: int, sigma: float, gamma: float):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,17 @@ from .fields import (
     sobolev_norm,
     to_grid,
 )
-from .integrator import InitialData, RunConfig, run_trajectory, smooth_cutoff
+from .integrator import (
+    INCREMENT_COLUMNS,
+    SERIES_COLUMNS,
+    InitialData,
+    RunConfig,
+    _Chunk,
+    run_trajectory,
+    smooth_cutoff,
+)
 from .nonlinear import leray_advection, pointwise_multiply, trilinear
-from .noise import LinearMultiplicativeNoise
+from .noise import AdditiveNoise, LinearMultiplicativeNoise
 from .snapshots import SnapshotMeta, read_snapshot, write_snapshot
 
 _CTX = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=4)
@@ -137,6 +146,26 @@ def _check_linear_decay() -> str:
     return f"relative error {err:.1e}"
 
 
+def _check_lockstep_ensemble() -> str:
+    # an ensemble chunk advances its members as one (K, M, 3) block
+    cfg = RunConfig(
+        ctx=ModelContext(nu=0.5, alpha=1.0, theta1=1.0, theta2=1.0, n=2),
+        dt=0.02,
+        horizon=0.2,
+        noise=AdditiveNoise(((0, 0, 1), (1, 1, 0), (1, 2, 1)), (0.5, 0.3, 0.2), 2),
+        initial=InitialData(kind="random", amplitude=1.0, seed=5),
+        seed=23,
+    )
+    for tid, record in enumerate(_Chunk(cfg, 3).run()):
+        alone = run_trajectory(replace(cfg, trajectory_id=tid))
+        for name in SERIES_COLUMNS + INCREMENT_COLUMNS:
+            same = getattr(record, name).tobytes() == getattr(alone, name).tobytes()
+            assert same, f"member {tid}: {name} differs from its serial run"
+        same = record.final_field.coeffs.tobytes() == alone.final_field.coeffs.tobytes()
+        assert same, f"member {tid}: final state differs from its serial run"
+    return "3-member chunk bitwise equal to 3 serial runs"
+
+
 def _check_cutoff_profile() -> str:
     assert smooth_cutoff(0.5, 1.0) == 1.0
     assert smooth_cutoff(1.0, 1.0) == 1.0
@@ -179,6 +208,7 @@ CHECKS = [
     ("single-mode advection vanishes", _check_single_mode_advection),
     ("product-grid kernel", _check_product_grid),
     ("linear decay", _check_linear_decay),
+    ("lockstep ensemble", _check_lockstep_ensemble),
     ("cutoff profile", _check_cutoff_profile),
     ("snapshot round-trip", _check_snapshot_round_trip),
     ("regime anchors", _check_regime_anchors),

@@ -21,7 +21,7 @@ from leray_alpha import (
     sobolev_norm,
     to_grid,
 )
-from leray_alpha.fields import lattice, next_fft_size
+from leray_alpha.fields import inner_products, lattice, next_fft_size, scalar_squares
 
 from oracles import brute_sobolev_norm, reconstruct_complex_grid
 
@@ -272,6 +272,22 @@ class TestNorms:
         lhs = inner_product(u, v, 0.0)
         rhs = 0.25 * (sobolev_norm(u + v, 0.0) ** 2 - sobolev_norm(u - v, 0.0) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    def test_block_inner_products_equal_one_pair_at_a_time(self, ctx4):
+        a = np.stack([random_field(ctx4, seed=s).coeffs for s in (1, 2, 3)])
+        b = np.stack([random_field(ctx4, seed=s).coeffs for s in (4, 5, 6)])
+        weights = [lattice(4).power(0.0), lattice(4).power(2.0)]
+        block = inner_products(a, b, weights)
+        for k in range(3):
+            for w, s in enumerate((0.0, 1.0)):
+                one = inner_product(SpectralField(4, a[k]), SpectralField(4, b[k]), s)
+                assert block[k, w].tobytes() == np.float64(one).tobytes()
+
+    def test_scalar_squares_use_the_scalar_power(self):
+        # x ** 2 of a Python or numpy scalar calls the C library's pow, which
+        # can differ in the last bit from the array square x * x
+        values = np.random.default_rng(7).random(10_000) * 10.0 ** np.arange(-5, 5).repeat(1_000)
+        assert scalar_squares(values).tobytes() == np.array([float(x) ** 2 for x in values]).tobytes()
 
 
 class TestLpNorms:

@@ -1,11 +1,14 @@
 """Semi-implicit scheme, cutoff profile, stopping monitors, ensembles."""
 
 import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from leray_alpha import (
     AdditiveNoise,
+    DiagonalSpectralNoise,
     InitialData,
     LinearMultiplicativeNoise,
     ModelContext,
@@ -20,8 +23,11 @@ from leray_alpha import (
     sobolev_norm,
     step,
 )
-from leray_alpha.fields import lattice
-from leray_alpha.integrator import initial_state
+from leray_alpha import integrator
+from leray_alpha.fields import NonFiniteStateError, lattice, polarization
+from leray_alpha.integrator import INCREMENT_COLUMNS, SERIES_COLUMNS, initial_state
+from leray_alpha.nonlinear import leray_advection
+from leray_alpha.noise import WienerStream, wiener_increment
 
 from oracles import brute_advection
 
@@ -274,13 +280,194 @@ class TestOneIntegrationPath:
 
     def test_only_non_finite_states_halt(self, monkeypatch):
         # a ValueError that merely mentions finiteness is a bug, not a blow-up
-        def broken_apply(self, u, incr):
+        def broken_apply(self, coeffs, increments):
             raise ValueError("increment is not finite")
 
-        monkeypatch.setattr(AdditiveNoise, "apply", broken_apply)
+        # the block method that run_trajectory and ensemble chunks call
+        monkeypatch.setattr(AdditiveNoise, "_apply_block", broken_apply)
         cfg = linear_cfg(noise=AdditiveNoise(((0, 0, 1),), (0.5,), 2), horizon=0.01, dt=0.005)
         with pytest.raises(ValueError, match="increment is not finite"):
             run_trajectory(cfg)
+        with pytest.raises(ValueError, match="increment is not finite"):
+            run_ensemble(cfg, 3, workers=1)
+
+
+def scalar_noise(fam, c, dw, norm_l2, norm_h1):
+    """g(u) dW and the ledger's hs_norm_sq(u, 0), hs_norm_sq(u, 1) of one
+    state, with the per-field arithmetic of the one-trajectory integrator."""
+    if isinstance(fam, LinearMultiplicativeNoise):
+        return (fam.sigma * dw[0]) * c, fam.sigma**2 * norm_l2**2, fam.sigma**2 * norm_h1**2
+    lat = lattice(fam.n)
+    rows = np.array([lat.index_of(k) for k in fam.modes])
+    sig = np.asarray(fam.sigmas)
+    gw = np.zeros_like(c)
+    if isinstance(fam, AdditiveNoise):
+        vecs = np.stack([polarization(k) for k in fam.modes]) / math.sqrt(2.0)
+        np.add.at(gw, rows, (sig * dw)[:, None] * vecs)
+        return gw, *(float(np.sum(sig**2 * lat.k_sq[rows] ** s)) for s in (0.0, 1.0))
+    gw[rows] = (sig * dw)[:, None] * c[rows]
+    energies = 2.0 * np.sum(np.abs(c[rows]) ** 2, axis=1)
+    return gw, *(float(np.sum(sig**2 * lat.k_sq[rows] ** s * energies)) for s in (0.0, 1.0))
+
+
+def scalar_reference(cfg):
+    """One trajectory stepped alone with Python-scalar norms, cutoff and
+    ledger: the loop the lockstep core replaced.  Returns the series and
+    increment rows, the final coefficients and whether the run completed."""
+    lat, th2 = cfg.ctx.lattice, cfg.ctx.theta2
+    weights = [lat.power(2.0 * s) for s in (0.0, 1.0, th2, th2 + 1.0)]
+    denom = (1.0 + cfg.dt * cfg.ctx.nu * cfg.ctx.dissipation_multiplier)[:, None]
+    stream = WienerStream(cfg.seed, cfg.trajectory_id, cfg.noise.dim)
+
+    def norms(c):
+        e = np.sum(np.abs(c) ** 2, axis=1)
+        return [math.sqrt(2.0 * float(np.sum(w * e))) for w in weights]
+
+    def pair(a, b, w):
+        return 2.0 * float(np.real(np.sum(w * np.einsum("ij,ij->i", a, np.conj(b)))))
+
+    u = initial_state(cfg).u.coeffs
+    series = [[m * cfg.dt for m in range(cfg.steps + 1)], *([x] for x in norms(u)), [0.0], [0.0], [0.0]]
+    increments = [[] for _ in INCREMENT_COLUMNS]
+    for m in range(cfg.steps):
+        l2, h1, n_th2, n_th2p1 = (row[-1] for row in series[1:5])
+        chi = 1.0 if cfg.cutoff_radius is None else smooth_cutoff(h1, cfg.cutoff_radius)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                bconv = leray_advection(SpectralField(cfg.ctx.n, u), cfg.ctx).coeffs if cfg.nonlinear else None
+            except NonFiniteStateError:
+                break
+            gw, hs_l2, hs_h1 = scalar_noise(cfg.noise, u, wiener_increment(stream, cfg.dt, m).values, l2, h1)
+            new = u + chi * gw
+            if bconv is not None:
+                new = new - (cfg.dt * chi) * bconv
+            new = new / denom
+            new_norms = norms(new)
+        if not (np.all(np.isfinite(new)) and all(map(math.isfinite, new_norms))):
+            break
+        inj_l2 = chi * chi * hs_l2 * cfg.dt
+        adv = 2.0 * chi * pair(bconv, u, weights[1]) * cfg.dt if bconv is not None else 0.0
+        for row, value in zip(increments, (2.0 * chi * pair(gw, u, weights[0]), inj_l2,
+                                           2.0 * chi * pair(gw, u, weights[1]), chi * chi * hs_h1 * cfg.dt, adv, chi)):
+            row.append(value)
+        for row, value in zip(series[1:5], new_norms):
+            row.append(value)
+        series[5].append(series[5][-1] + 0.5 * cfg.dt * (n_th2**2 + new_norms[2] ** 2))
+        series[6].append(series[6][-1] + 0.5 * cfg.dt * (n_th2p1**2 + new_norms[3] ** 2))
+        series[7].append(series[7][-1] + inj_l2)
+        u = new
+    steps_done = len(series[1]) - 1
+    series[0] = series[0][: steps_done + 1]
+    return [np.array(row) for row in series], [np.array(row) for row in increments], u, steps_done == cfg.steps
+
+
+def assert_records_equal(a, b):
+    for name in SERIES_COLUMNS + INCREMENT_COLUMNS:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.overflow == b.overflow and a.hits == b.hits
+    assert a.final_field.coeffs.tobytes() == b.final_field.coeffs.tobytes()
+    assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
+    for (_, fa), (_, fb) in zip(a.snapshots, b.snapshots):
+        assert fa.coeffs.tobytes() == fb.coeffs.tobytes()
+
+
+FAMILIES = {
+    "additive": AdditiveNoise(((0, 0, 1), (1, 1, 0), (1, 2, 1)), (0.5, 0.3, 0.2), 3),
+    "linear-multiplicative": LinearMultiplicativeNoise(0.1),
+    "diagonal-spectral": DiagonalSpectralNoise(((0, 0, 1), (1, 1, 0), (1, 2, 1), (2, 0, 3)), (0.9, 0.6, 0.4, 0.3), 3),
+}
+
+
+def family_cfg(noise):
+    # the H1 norm starts outside the cutoff ball (3.59 > R = 2) and ends inside it
+    return RunConfig(
+        ctx=ModelContext(nu=0.5, alpha=1.0, theta1=1.0, theta2=1.0, n=3),
+        dt=0.02,
+        horizon=0.4,
+        noise=noise,
+        initial=InitialData(kind="random", amplitude=2.0, seed=4),
+        seed=11,
+        cutoff_radius=2.0,
+        monitors=(Monitor("tau_R", 3.0), Monitor("rho_M", 14.0), Monitor("gamma_K", 0.5)),
+        snapshot_every=0.1,
+    )
+
+
+def blowup_ensemble_cfg():
+    # explicit advection with dt = 1 and nearly no viscosity: the energy grows
+    # every step, and the multiplicative noise decides when each member
+    # overflows (steps 11, 15, 12, 17, 11, 15 for ids 0-5 over 20 steps)
+    return RunConfig(
+        ctx=ModelContext(nu=1e-8, alpha=1.0, theta1=0.0, theta2=1.0, n=3),
+        dt=1.0,
+        horizon=16.0,
+        noise=LinearMultiplicativeNoise(0.3),
+        initial=InitialData(kind="random", amplitude=1.0, seed=6),
+        seed=0,
+        snapshot_every=2.0,
+    )
+
+
+class TestLockstepEnsembles:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_run_trajectory_equals_scalar_reference(self, family):
+        cfg = family_cfg(FAMILIES[family])
+        record = run_trajectory(cfg)
+        series, increments, final, complete = scalar_reference(cfg)
+        assert complete and record.complete
+        assert record.chi.min() < 1.0 and record.chi.max() == 1.0  # the cutoff is crossed
+        assert all(hit is not None for hit in record.hits)
+        for name, row in zip(SERIES_COLUMNS + INCREMENT_COLUMNS, series + increments):
+            assert getattr(record, name).tobytes() == row.tobytes(), name
+        assert record.final_field.coeffs.tobytes() == final.tobytes()
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_chunk_equals_serial_runs(self, family):
+        cfg = family_cfg(FAMILIES[family])
+        records = run_ensemble(cfg, 5, workers=1)
+        assert [c.size for c in integrator._chunks(cfg, 5, 1)] == [5]
+        assert len(records[0].snapshots) == 5
+        for tid, record in enumerate(records):
+            assert_records_equal(record, run_trajectory(replace(cfg, trajectory_id=tid)))
+
+    @pytest.mark.parametrize(
+        "size, workers, sizes",
+        [(7, 1, [2, 2, 3]), (7, 2, [2, 2, 3]), (7, 4, [1, 2, 2, 2]), (3, 4, [1, 1, 1]), (1, 2, [1])],
+    )
+    def test_chunk_layouts_leave_records_unchanged(self, monkeypatch, size, workers, sizes):
+        cfg = RunConfig(
+            ctx=ModelContext(nu=0.5, alpha=1.0, theta1=1.0, theta2=1.0, n=2),
+            dt=0.02,
+            horizon=0.2,
+            noise=AdditiveNoise(((0, 0, 1), (1, 1, 0)), (0.5, 0.3), 2),
+            initial=InitialData(kind="random", amplitude=1.0, seed=1),
+            seed=99,
+        )
+        serial = [run_trajectory(replace(cfg, trajectory_id=i)) for i in range(size)]
+        member = 48 * lattice(2).size + 8 * (len(SERIES_COLUMNS) + len(INCREMENT_COLUMNS)) * (cfg.steps + 1)
+        monkeypatch.setattr(integrator, "_CHUNK_BYTES", 3 * member)  # at most 3 members a chunk
+        chunks = integrator._chunks(cfg, size, workers)
+        assert [c.size for c in chunks] == sizes
+        assert [c.trajectory_id for c in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
+        records = run_ensemble(cfg, size, workers=workers)
+        assert [r.trajectory_id for r in records] == list(range(size))
+        for a, b in zip(records, serial):
+            assert_records_equal(a, b)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_member_blowing_up_mid_chunk(self, workers):
+        cfg = blowup_ensemble_cfg()
+        records = run_ensemble(cfg, 6, workers=workers)
+        # ids 0 and 4 halt at step 11, 2 at 12, 1 and 5 at 15; 3 completes
+        assert [len(r.t) - 1 for r in records] == [11, 15, 12, 16, 11, 15]
+        assert [r.complete for r in records] == [False, False, False, True, False, False]
+        for tid, record in enumerate(records):
+            alone = run_trajectory(replace(cfg, trajectory_id=tid))
+            assert_records_equal(record, alone)
+            series, increments, final, complete = scalar_reference(replace(cfg, trajectory_id=tid))
+            assert complete == record.complete
+            assert record.norm_l2.tobytes() == series[1].tobytes()
+            assert record.final_field.coeffs.tobytes() == final.tobytes()
 
 
 class TestMonitors:

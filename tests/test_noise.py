@@ -22,7 +22,7 @@ from leray_alpha import (
     sobolev_norm,
     wiener_increment,
 )
-from leray_alpha.fields import lattice
+from leray_alpha.fields import lattice, polarization
 from leray_alpha.noise import decay_modes
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -115,6 +115,20 @@ class TestFamilies:
         out = fam.apply(SpectralField.zero(4), incr)
         assert sobolev_norm(out, 0.0) == pytest.approx(1.0, rel=1e-14)
         assert out.divergence_defect() <= 1e-15
+
+    def test_additive_apply_equals_accumulating_into_zeros(self):
+        # a negative increment times a zero polarisation component is -0.0;
+        # added into the zero field it becomes +0.0, and snapshots keep signs
+        fam = AdditiveNoise(((0, 0, 1), (1, 1, 0)), (0.3, 0.2), 4)
+        incr = WienerIncrement(1.0, np.array([-1.5, -0.5]))
+        out = fam.apply(SpectralField.zero(4), incr).coeffs
+        expected = np.zeros((lattice(4).size, 3), dtype=complex)
+        rows = [lattice(4).index_of(k) for k in fam.modes]
+        vecs = np.stack([polarization(k) for k in fam.modes]) / math.sqrt(2.0)
+        np.add.at(expected, rows, (np.asarray(fam.sigmas) * incr.values)[:, None] * vecs)
+        assert out.tobytes() == expected.tobytes()
+        parts = out.view(float)
+        assert not np.signbit(parts[parts == 0.0]).any()
 
     def test_diagonal_disjoint_support_gives_zero(self):
         fam = DiagonalSpectralNoise(((0, 0, 1),), (0.5,), 4)
