@@ -79,8 +79,7 @@ def _write_snapshots(record, outdir: Path, prefix: str = "snapshot") -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     parsed = _load(args)
     outdir = _output_dir(args, parsed)
-    if parsed.workers <= 1:
-        set_fft_workers(default_fft_workers())
+    set_fft_workers(default_fft_workers())
     record = run_trajectory(parsed.run)
     write_series_csv(record, outdir / "series.csv")
     _write_snapshots(record, outdir)

@@ -205,22 +205,12 @@ def parse_config(text: str, seed_override: int | None = None) -> ParsedConfig:
     for key in ("nu", "alpha", "theta1", "theta2", "n"):
         if key not in model:
             raise ConfigError(f"[model] {key} is required")
-    theta2 = _float("model", "theta2", model["theta2"])
-    if theta2 <= 0:
-        raise ConfigError("[model] theta2 must be > 0")
-    theta1 = _float("model", "theta1", model["theta1"])
-    if theta1 < 0:
-        raise ConfigError("[model] theta1 must be >= 0")
-    nu = _float("model", "nu", model["nu"])
-    alpha = _float("model", "alpha", model["alpha"])
-    if nu <= 0:
-        raise ConfigError("[model] nu must be > 0")
-    if alpha <= 0:
-        raise ConfigError("[model] alpha must be > 0")
+    params = {key: _float("model", key, model[key]) for key in ("nu", "alpha", "theta1", "theta2")}
     n = _int("model", "n", model["n"])
-    if n < 1:
-        raise ConfigError("[model] n must be >= 1")
-    ctx = ModelContext(nu=nu, alpha=alpha, theta1=theta1, theta2=theta2, n=n)
+    try:
+        ctx = ModelContext(n=n, **params)
+    except ValueError as exc:
+        raise ConfigError(f"[model] {exc}") from None
     nonlinear = _bool("model", "nonlinear", model.get("nonlinear", "true"))
 
     time = sections["time"]

@@ -59,21 +59,13 @@ class _GridPlan:
     def __init__(self, lat: "Lattice", ng: int):
         if ng < 2 * lat.n + 1:
             raise ValueError(f"grid size {ng} cannot resolve truncation n={lat.n}")
+        self.lattice = lat
         self.ng = ng
         self.half_shape = (ng, ng, ng // 2 + 1)
-        k = lat.wavevectors
-        i1 = np.mod(k[:, 0], ng)
-        i2 = np.mod(k[:, 1], ng)
-        i3 = k[:, 2]  # canonical k3 >= 0 < ng//2
-        self.idx_main = np.ravel_multi_index((i1, i2, i3), self.half_shape)
-        # modes in the k3 = 0 plane also need their conjugate image so the
-        # plane is Hermitian under 2D index negation
-        plane = np.flatnonzero(k[:, 2] == 0)
-        self.mirror_rows = plane
-        self.idx_mirror = np.ravel_multi_index(
-            (np.mod(-k[plane, 0], ng), np.mod(-k[plane, 1], ng), k[plane, 2]),
-            self.half_shape,
-        )
+        # rfftn positions of Lattice.spectral_rows; the first lat.size are
+        # the lattice rows (canonical k3 >= 0 < ng//2)
+        k = lat.row_wavevectors
+        self.idx_rows = np.ravel_multi_index((np.mod(k[:, 0], ng), np.mod(k[:, 1], ng), k[:, 2]), self.half_shape)
         # signed wavenumbers of the rfftn layout, broadcastable to half_shape
         line = np.rint(np.fft.fftfreq(ng) * ng)
         self.kx = line.reshape(ng, 1, 1)
@@ -84,15 +76,13 @@ class _GridPlan:
         """Place half-lattice coefficients (M, 3) into a (3, *half_shape)
         complex array suitable for irfftn."""
         out = np.zeros((3,) + self.half_shape, dtype=np.complex128)
-        flat = out.reshape(3, -1)
-        flat[:, self.idx_main] = coeffs.T
-        flat[:, self.idx_mirror] = np.conj(coeffs[self.mirror_rows]).T
+        out.reshape(3, -1)[:, self.idx_rows] = self.lattice.spectral_rows(coeffs)
         return out
 
     def gather(self, spectrum: np.ndarray) -> np.ndarray:
         """Read the canonical half-lattice back out of a (3, *half_shape)
         rfftn spectrum."""
-        return np.ascontiguousarray(spectrum.reshape(3, -1)[:, self.idx_main].T)
+        return np.ascontiguousarray(spectrum.reshape(3, -1)[:, self.idx_rows[: self.lattice.size]].T)
 
     def to_physical(self, spectrum: np.ndarray) -> np.ndarray:
         return sfft.irfftn(
@@ -135,15 +125,12 @@ class _ProductGrid:
         n, ng = lat.n, lat.product_ng
         self.n = n
         self.ng = ng
-        self.size = lat.size
-        k = lat.wavevectors
-        # kz = 0 modes also fill their conjugate image, as in _GridPlan.scatter
-        self.mirror_rows = np.flatnonzero(k[:, 2] == 0)
-        rows = np.concatenate([k, -k[self.mirror_rows]])
+        rows = lat.row_wavevectors
         self.k_rows = rows.T.astype(float)
         self.idx_block = np.ravel_multi_index(
             (np.mod(rows[:, 0], ng), np.mod(rows[:, 1], 2 * n + 1), rows[:, 2]), (ng, 2 * n + 1, n + 1)
         )
+        k = lat.wavevectors
         self.idx_gather = np.ravel_multi_index(
             (np.mod(k[:, 0], 2 * n + 1), np.mod(k[:, 1], ng), k[:, 2]), (2 * n + 1, ng, n + 1)
         )
@@ -156,17 +143,10 @@ class _ProductGrid:
         self.products = np.empty((3, _SLAB_DEPTH, ng, ng))
         self.forward = np.empty((3, ng, ng, n + 1), dtype=np.complex128)
 
-    def rows(self, coeffs: np.ndarray) -> np.ndarray:
-        """(3, M + mirrors) spectral rows of half-lattice coefficients (M, 3):
-        the lattice rows, then the conjugates of the kz = 0 rows."""
-        out = np.empty((3, self.k_rows.shape[1]), dtype=np.complex128)
-        out[:, : self.size] = coeffs.T
-        out[:, self.size :] = np.conj(coeffs[self.mirror_rows]).T
-        return out
-
     def transform(self, stack: np.ndarray, combine) -> np.ndarray:
         """Half-lattice coefficients (M, 3) of the truncated spectrum of three
-        physical products.  stack holds spectral rows as made by rows();
+        physical products.  stack holds spectral rows as made by
+        Lattice.spectral_rows();
         combine(physical, out) writes the three products of one x-slab of the
         stack's fields, (fields, planes, ng, ng), into out (3, planes, ng, ng)."""
         n, ng = self.n, self.ng
@@ -193,9 +173,15 @@ class _ProductGrid:
         return np.ascontiguousarray(spectrum.reshape(3, -1)[:, self.idx_gather].T)
 
 
+def _is_canonical(k1, k2, k3):
+    """Whether k (ints or integer arrays) is the stored member of its +-k pair."""
+    return (k3 > 0) | ((k3 == 0) & ((k2 > 0) | ((k2 == 0) & (k1 > 0))))
+
+
 class Lattice:
     """Canonical half-lattice for truncation n, with cached multipliers and
-    grid plans.  Obtain instances through lattice(n)."""
+    grid plans; obtain instances through lattice(n).  It owns the mode order
+    and lookup, the kz = 0 mirror rows and the Leray projection."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -203,21 +189,22 @@ class Lattice:
         self.n = n
         side = np.arange(-n, n + 1)
         k1, k2, k3 = np.meshgrid(side, side, side, indexing="ij")
-        k = np.stack([k1.ravel(), k2.ravel(), k3.ravel()], axis=1)
-        canonical = (k[:, 2] > 0) | ((k[:, 2] == 0) & (k[:, 1] > 0)) | (
-            (k[:, 2] == 0) & (k[:, 1] == 0) & (k[:, 0] > 0)
-        )
-        k = k[canonical]
-        # lexicographic (k1, k2, k3) order; snapshot payloads rely on it
-        order = np.lexsort((k[:, 2], k[:, 1], k[:, 0]))
-        self.wavevectors = np.ascontiguousarray(k[order])
+        # the ij meshgrid ravels in lexicographic (k1, k2, k3) order, which
+        # the mask keeps; snapshot payloads rely on it
+        keep = _is_canonical(k1, k2, k3).ravel()
+        self.wavevectors = np.stack([k1.ravel()[keep], k2.ravel()[keep], k3.ravel()[keep]], axis=1)
         self.wavevectors.setflags(write=False)
         self.size = len(self.wavevectors)
+        # rank of each mode in the lexicographic order of the whole cube
+        self._ranks = np.flatnonzero(keep)
         self.k_sq = np.einsum("ij,ij->i", self.wavevectors, self.wavevectors).astype(float)
         self.k_sq.setflags(write=False)
         self.kfloat = self.wavevectors.astype(float)
         self.kfloat.setflags(write=False)
-        self.index = {tuple(row): i for i, row in enumerate(self.wavevectors)}
+        # modes in the kz = 0 plane also fill their conjugate image in a grid
+        # spectrum, so that the plane is Hermitian under 2D index negation
+        self.mirror_rows = np.flatnonzero(self.wavevectors[:, 2] == 0)
+        self.row_wavevectors = np.concatenate([self.wavevectors, -self.wavevectors[self.mirror_rows]])
         # product grid large enough that the 2/3-rule band of the grid covers
         # the whole truncation cube: quadratic products are then alias-free
         # and equal the exact truncated convolution
@@ -245,19 +232,35 @@ class Lattice:
         exponent = float(exponent)
         arr = self._powers.get(exponent)
         if arr is None:
-            if exponent == 0.0:
-                arr = np.ones(self.size)
-            else:
-                arr = self.k_sq ** (exponent / 2.0)
+            arr = self.k_sq ** (exponent / 2.0)  # all ones for exponent 0
             arr.setflags(write=False)
             self._powers[exponent] = arr
         return arr
 
     def index_of(self, k: tuple[int, int, int]) -> int:
-        try:
-            return self.index[k]
-        except KeyError:
-            raise ValueError(f"wavevector {k} is not a canonical mode of n={self.n}") from None
+        n, side = self.n, 2 * self.n + 1
+        if len(k) == 3 and all(abs(c) <= n for c in k):
+            rank = ((k[0] + n) * side + k[1] + n) * side + k[2] + n
+            row = int(np.searchsorted(self._ranks, rank))
+            if row < self.size and self._ranks[row] == rank:
+                return row
+        raise ValueError(f"wavevector {k} is not a canonical mode of n={self.n}")
+
+    def spectral_rows(self, coeffs: np.ndarray) -> np.ndarray:
+        """(3, M + mirrors) spectral rows of half-lattice coefficients (M, 3):
+        the lattice rows, then the conjugates of the kz = 0 rows, at the
+        wavevectors row_wavevectors."""
+        out = np.empty((3, len(self.row_wavevectors)), dtype=np.complex128)
+        out[:, : self.size] = coeffs.T
+        out[:, self.size :] = np.conj(coeffs[self.mirror_rows]).T
+        return out
+
+    def project(self, coeffs: np.ndarray) -> None:
+        """Leray projection of coefficients (M, 3) in place:
+        u_k <- u_k - (u_k . k) k / |k|^2.  Its summation order fixes the
+        sign of exactly-zero coefficients, which snapshot bytes show."""
+        dots = np.einsum("ij,ij->i", coeffs, self.kfloat)
+        coeffs -= (dots / self.k_sq)[:, None] * self.kfloat
 
 
 @lru_cache(maxsize=16)
@@ -270,7 +273,7 @@ def canonical_mode(k: tuple[int, int, int]) -> tuple[int, int, int]:
     k = tuple(int(c) for c in k)
     if k == (0, 0, 0):
         raise ValueError("the zero mode is excluded (fields have zero mean)")
-    if (k[2] > 0) or (k[2] == 0 and k[1] > 0) or (k[2] == 0 and k[1] == 0 and k[0] > 0):
+    if _is_canonical(*k):
         return k
     return (-k[0], -k[1], -k[2])
 
@@ -451,9 +454,9 @@ def from_grid(values: np.ndarray, n: int) -> SpectralField:
 def leray_project(field: SpectralField) -> SpectralField:
     """Remove the component of each coefficient along its wavevector:
     u_k <- u_k - (u_k . k) k / |k|^2."""
-    lat = field.lattice
-    dots = np.einsum("ij,ij->i", field.coeffs, lat.kfloat)
-    return SpectralField(field.n, field.coeffs - (dots / lat.k_sq)[:, None] * lat.kfloat)
+    coeffs = field.coeffs.copy()
+    field.lattice.project(coeffs)
+    return SpectralField(field.n, coeffs)
 
 
 def fractional_laplacian(field: SpectralField, s: float) -> SpectralField:
@@ -472,10 +475,7 @@ def helmholtz_filter(field: SpectralField, ctx: ModelContext) -> SpectralField:
 
 def sobolev_norm(field: SpectralField, s: float = 0.0) -> float:
     """||u||_s = sqrt(sum_k |k|^{2s} |u_k|^2) over the full +-k lattice."""
-    lat = field.lattice
-    weights = lat.power(2.0 * float(s))
-    total = np.sum(weights * np.sum(np.abs(field.coeffs) ** 2, axis=1))
-    return math.sqrt(2.0 * float(total))
+    return math.sqrt(float(energies(field.coeffs, [field.lattice.power(2.0 * float(s))])[0]))
 
 
 def inner_product(a: SpectralField, b: SpectralField, s: float = 0.0) -> float:
@@ -492,6 +492,15 @@ def inner_products(a: np.ndarray, b: np.ndarray, weights) -> np.ndarray:
     return 2.0 * np.real(np.stack([(w * pairs).sum(axis=-1) for w in weights], axis=-1))
 
 
+def energies(coeffs: np.ndarray, weights) -> np.ndarray:
+    """Full-lattice energies 2 sum_k w_k |u_k|^2 of a block of coefficient
+    arrays (..., M, 3), for each of the W weight arrays w (M,): shape
+    (..., W).  Each row is reduced along its own contiguous axis, so a
+    member of a block gets the numbers it would get alone."""
+    e = np.sum(np.abs(coeffs) ** 2, axis=-1)
+    return 2.0 * np.stack([(w * e).sum(axis=-1) for w in weights], axis=-1)
+
+
 def scalar_squares(values: np.ndarray) -> np.ndarray:
     """x ** 2 per element as a float64 scalar computes it, through the C
     library's pow.  The array square x * x differs from that in the last bit
@@ -505,7 +514,11 @@ def lp_norm(field: SpectralField, p: float, grid_size: int | None = None) -> flo
     to quadrature accuracy."""
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1 or inf")
-    values = to_grid(field, grid_size)
+    return _lp_of_magnitude(to_grid(field, grid_size), p)
+
+
+def _lp_of_magnitude(values: np.ndarray, p: float) -> float:
+    """L^p norm (normalised measure) of the pointwise |.| of grid samples (3, ...)."""
     mag = np.sqrt(np.sum(values * values, axis=0))
     if p == math.inf:
         return float(np.max(mag))
@@ -524,8 +537,9 @@ def random_field(
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((lat.size, 3)) + 1j * rng.standard_normal((lat.size, 3))
     raw *= lat.power(-float(spectrum_slope))[:, None]
-    dots = np.einsum("ij,ij->i", raw, lat.kfloat)
-    raw -= (dots / lat.k_sq)[:, None] * lat.kfloat
+    lat.project(raw)
+    # a flattened sum, not energies(): its summation order fixes the bytes
+    # of every random initial state
     norm = math.sqrt(2.0 * float(np.sum(np.abs(raw) ** 2)))
     if norm > 0:
         raw *= amplitude / norm

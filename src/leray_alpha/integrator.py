@@ -27,6 +27,8 @@ from .fields import (
     ModelContext,
     NonFiniteStateError,
     SpectralField,
+    canonical_mode,
+    energies,
     inner_products,
     random_field,
     scalar_squares,
@@ -100,6 +102,10 @@ class InitialData:
             raise ValueError("single_mode initial data needs a mode")
         if not math.isfinite(self.amplitude) or self.amplitude < 0:
             raise ValueError("initial amplitude must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.mode is not None:
+            canonical_mode(self.mode)  # rejects the zero mode
 
     def build(self, ctx: ModelContext) -> SpectralField:
         if self.kind == "single_mode":
@@ -146,6 +152,9 @@ class RunConfig:
             raise ValueError("horizon T must exceed dt")
         if grid_steps(self.horizon, self.dt) is None:
             raise ValueError(f"horizon T = {self.horizon!r} is not a whole number of steps dt = {self.dt!r}")
+        mode = self.initial.mode
+        if mode is not None and max(abs(c) for c in mode) > self.ctx.n:
+            raise ValueError(f"initial mode {tuple(mode)} lies outside the truncation n={self.ctx.n}")
         if self.cutoff_radius is not None and not self.cutoff_radius > 0:
             raise ValueError("cutoff radius must be positive")
         if self.snapshot_every is not None:
@@ -262,8 +271,7 @@ class _StepCore:
     def norms(self, coeffs: np.ndarray) -> np.ndarray:
         """||u||_0, ||u||_1, ||u||_theta2, ||u||_{theta2+1} of coefficients
         (..., M, 3), along a last axis of length 4."""
-        e = np.sum(np.abs(coeffs) ** 2, axis=-1)
-        return np.sqrt(2.0 * np.stack([(w * e).sum(axis=-1) for w in self.weights], axis=-1))
+        return np.sqrt(energies(coeffs, self.weights))
 
     def advection(self, coeffs: np.ndarray) -> np.ndarray:
         """B(Gu, u) of one state, or nan where it is not finite: the new

@@ -22,6 +22,7 @@ from .fields import (
     ModelContext,
     SpectralField,
     canonical_mode,
+    energies,
     lattice,
     polarization,
     random_field,
@@ -46,6 +47,7 @@ class WienerStream:
     dim: int
     _bitgen: np.random.Philox = field(init=False, repr=False, compare=False)
     _normal: np.random.Generator = field(init=False, repr=False, compare=False)
+    _state: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -55,6 +57,9 @@ class WienerStream:
         bitgen = np.random.Philox(key=np.array([self.master_seed, self.trajectory_id], dtype=np.uint64))
         object.__setattr__(self, "_bitgen", bitgen)
         object.__setattr__(self, "_normal", np.random.Generator(bitgen))
+        # the state of the fresh generator: its key, a zero counter and an
+        # empty buffer; a draw sets counter[3] to its step (the setter copies)
+        object.__setattr__(self, "_state", bitgen.state)
 
 
 @dataclass(frozen=True)
@@ -75,18 +80,8 @@ def wiener_increment(stream: WienerStream, dt: float, step: int) -> WienerIncrem
         raise ValueError("dt must be positive")
     if step < 0:
         raise ValueError("step index must be >= 0")
-    # the state of a fresh Philox(key, counter=[0, 0, 0, step]): empty buffer
-    stream._bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([0, 0, 0, step], dtype=np.uint64),
-            "key": np.array([stream.master_seed, stream.trajectory_id], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    stream._state["state"]["counter"][3] = step
+    stream._bitgen.state = stream._state
     draws = stream._normal.standard_normal(stream.dim)
     return WienerIncrement(dt, draws * math.sqrt(dt))
 
@@ -161,9 +156,9 @@ def _normalize_modes(modes, sigmas, n: int):
 @dataclass(frozen=True)
 class _ModeNoise(NoiseFamily):
     """A family with one driver per canonical mode k_j of truncation n, with
-    amplitude sigma_j.  The lattice rows of the modes and their |k|^2 are
-    built once (non-compared fields: equality, hashing and signature() see
-    only modes, sigmas, n and kind)."""
+    amplitude sigma_j.  The lattice rows of the modes, their |k|^2 and the
+    amplitudes as an array are built once (non-compared fields: equality,
+    hashing and signature() see only modes, sigmas, n and kind)."""
 
     modes: tuple[tuple[int, int, int], ...]
     sigmas: tuple[float, ...]
@@ -171,6 +166,8 @@ class _ModeNoise(NoiseFamily):
     kind: str = field(default="", init=False)
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _k_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    _sigmas: np.ndarray = field(init=False, repr=False, compare=False)
+    _ledger_weights: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         modes, sigmas = _normalize_modes(self.modes, self.sigmas, self.n)
@@ -179,6 +176,13 @@ class _ModeNoise(NoiseFamily):
         rows = np.array([lattice(self.n).index_of(k) for k in modes])
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_k_sq", lattice(self.n).k_sq[rows])
+        object.__setattr__(self, "_sigmas", np.asarray(sigmas))
+        # the energy ledger's s = 0 and 1 weights
+        object.__setattr__(self, "_ledger_weights", (self._hs_weights(0.0), self._hs_weights(1.0)))
+
+    def _hs_weights(self, s: float) -> np.ndarray:
+        """sigma_j^2 |k_j|^{2s} per driver."""
+        return self._sigmas**2 * self._k_sq**s
 
     @property
     def dim(self) -> int:
@@ -209,8 +213,8 @@ class AdditiveNoise(_ModeNoise):
         super().__post_init__()
         vecs = np.stack([polarization(k) for k in self.modes]) / math.sqrt(2.0)
         object.__setattr__(self, "_vecs", vecs)
-        # the state-independent ledger norms, s = 0 and 1
-        object.__setattr__(self, "_ledger_hs", (self.hs_norm_sq(None, 0.0), self.hs_norm_sq(None, 1.0)))
+        # the state-independent ledger norms
+        object.__setattr__(self, "_ledger_hs", tuple(float(np.sum(w)) for w in self._ledger_weights))
 
     # each family carries apply in its own namespace, where perfbench/spans.py
     # times the layer
@@ -218,13 +222,13 @@ class AdditiveNoise(_ModeNoise):
 
     def _apply_block(self, coeffs: np.ndarray, increments: np.ndarray) -> np.ndarray:
         out = np.zeros(coeffs.shape, dtype=np.complex128)
-        amp = np.asarray(self.sigmas) * increments
+        amp = self._sigmas * increments
         # 0.0 + x, as accumulating into the zeros would: -0.0 becomes +0.0
         out[:, self._rows] = 0.0 + amp[:, :, None] * self._vecs
         return out
 
     def hs_norm_sq(self, u: SpectralField | None, s: float = 0.0) -> float:
-        return float(np.sum(np.asarray(self.sigmas) ** 2 * self._k_sq**s))
+        return float(np.sum(self._hs_weights(s)))
 
     def _ledger_hs_norms_sq(self, coeffs, norm_l2, norm_h1):
         return self._ledger_hs
@@ -273,28 +277,22 @@ class DiagonalSpectralNoise(_ModeNoise):
 
     def _apply_block(self, coeffs: np.ndarray, increments: np.ndarray) -> np.ndarray:
         out = np.zeros_like(coeffs)
-        scale = np.asarray(self.sigmas) * increments
+        scale = self._sigmas * increments
         out[:, self._rows] = scale[:, :, None] * coeffs[:, self._rows]
         return out
 
-    def _hs_norms_sq(self, coeffs: np.ndarray, s: float) -> np.ndarray:
-        energies = 2.0 * np.sum(np.abs(coeffs[:, self._rows]) ** 2, axis=-1)
-        return np.sum(np.asarray(self.sigmas) ** 2 * self._k_sq**s * energies, axis=-1)
-
     def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
-        return float(self._hs_norms_sq(u.coeffs[None], s)[0])
+        return float(energies(u.coeffs[self._rows], [self._hs_weights(s)])[0])
 
     def _ledger_hs_norms_sq(self, coeffs, norm_l2, norm_h1):
-        return self._hs_norms_sq(coeffs, 0.0), self._hs_norms_sq(coeffs, 1.0)
+        return energies(coeffs[:, self._rows], self._ledger_weights).T
 
 
 def decay_modes(n: int, driver_dim: int, sigma: float, gamma: float):
     """First driver_dim canonical modes ordered by (|k|^2, lex) with the decay
     law sigma_j = sigma * |k_j|^{-gamma}."""
     lat = lattice(n)
-    order = np.lexsort(
-        (lat.wavevectors[:, 2], lat.wavevectors[:, 1], lat.wavevectors[:, 0], lat.k_sq)
-    )
+    order = np.argsort(lat.k_sq, kind="stable")  # ties keep the lattice's lex order
     if driver_dim > lat.size:
         raise ValueError(f"driver_dim {driver_dim} exceeds the {lat.size} stored modes")
     modes = [tuple(int(c) for c in lat.wavevectors[i]) for i in order[:driver_dim]]

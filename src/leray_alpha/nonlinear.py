@@ -10,14 +10,13 @@ here is the exact Galerkin-truncated convolution (no aliasing contamination).
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as sfft
 
 from .fields import (
     ModelContext,
     SpectralField,
     _check_same_truncation,
+    _lp_of_magnitude,
     fractional_laplacian,
-    get_fft_workers,
     helmholtz_filter,
     inner_product,
 )
@@ -52,15 +51,13 @@ def advect(u: SpectralField, v: SpectralField, ctx: ModelContext, *, project: bo
     grid = lat.product_grid()
     # 3 velocity rows + 9 derivative rows i k_m v_j
     stack = np.empty((12, grid.k_rows.shape[1]), dtype=np.complex128)
-    stack[0:3] = grid.rows(u.coeffs)
+    stack[0:3] = lat.spectral_rows(u.coeffs)
     derivatives = stack[3:12].reshape(3, 3, -1)
-    np.multiply(grid.rows(v.coeffs), grid.k_rows[:, None, :], out=derivatives)
+    np.multiply(lat.spectral_rows(v.coeffs), grid.k_rows[:, None, :], out=derivatives)
     derivatives *= 1j
     coeffs = grid.transform(stack, _advective_products)
-
     if project:
-        dots = np.einsum("ij,ij->i", coeffs, lat.kfloat)
-        coeffs -= (dots / lat.k_sq)[:, None] * lat.kfloat
+        lat.project(coeffs)
     return SpectralField(ctx.n, coeffs)
 
 
@@ -85,9 +82,9 @@ def pointwise_multiply(f: SpectralField, g: SpectralField, ctx: ModelContext) ->
     """Component-wise product (f_i g_i), dealiased and truncated back onto
     the lattice."""
     _check_same_truncation(f, g)
-    grid = ctx.lattice.product_grid()
-    stack = np.concatenate([grid.rows(f.coeffs), grid.rows(g.coeffs)])
-    return SpectralField(ctx.n, grid.transform(stack, _componentwise_products))
+    lat = ctx.lattice
+    stack = np.concatenate([lat.spectral_rows(f.coeffs), lat.spectral_rows(g.coeffs)])
+    return SpectralField(ctx.n, lat.product_grid().transform(stack, _componentwise_products))
 
 
 def commutator(f: SpectralField, g: SpectralField, s: float, ctx: ModelContext) -> SpectralField:
@@ -119,10 +116,4 @@ def gradient_lp_norm(field: SpectralField, p: float, ctx: ModelContext) -> float
     stack = np.empty((9,) + plan.half_shape, dtype=np.complex128)
     for m, km in enumerate((plan.kx, plan.ky, plan.kz)):
         stack[3 * m : 3 * m + 3] = (1j * km) * spec
-    phys = sfft.irfftn(
-        stack, s=(plan.ng,) * 3, axes=(-3, -2, -1), norm="forward", workers=get_fft_workers()
-    )
-    mag = np.sqrt(np.sum(phys * phys, axis=0))
-    if p == np.inf:
-        return float(np.max(mag))
-    return float(np.mean(mag ** p) ** (1.0 / p))
+    return _lp_of_magnitude(plan.to_physical(stack), p)

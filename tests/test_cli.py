@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from leray_alpha.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
 from leray_alpha.diagnostics import classify_regime
 from leray_alpha.snapshots import read_snapshot
@@ -143,6 +145,22 @@ def test_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(DECAY_CFG.replace("theta2 = 1.0", "theta2 = 0"))
     assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["run", "ensemble"])
+@pytest.mark.parametrize("initial", ["mode = 5,1,1", "mode = 0,0,0"])
+def test_initial_mode_error_exit_code(tmp_path, capsys, command, initial):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(DECAY_CFG.replace("mode = 1,1,0", initial))
+    assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_negative_initial_seed_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(ENSEMBLE_CFG.replace("kind = random\nseed = 1", "kind = random\nseed = -1"))
+    assert main(["ensemble", "--config", str(cfg), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "[initial] seed must be >= 0" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit_code(tmp_path):

@@ -219,3 +219,26 @@ def test_single_mode_rejects_random_keys():
 
 def test_nonlinear_toggle():
     assert parse_config(MINIMAL.replace("n = 4", "n = 4\nnonlinear = false")).run.nonlinear is False
+
+
+SINGLE_MODE = "kind = single_mode\nmode = {}\namplitude = 1.0"
+
+
+@pytest.mark.parametrize(
+    "initial, message",
+    [
+        ("kind = random\nseed = -1\nslope = 2.0", r"\[initial\] seed must be >= 0"),
+        (SINGLE_MODE.format("0,0,0"), r"\[initial\] the zero mode is excluded"),
+        (SINGLE_MODE.format("5,0,0"), r"initial mode \(5, 0, 0\) lies outside the truncation n=4"),
+        (SINGLE_MODE.format("0,-5,0"), r"initial mode \(0, -5, 0\) lies outside the truncation n=4"),
+    ],
+)
+def test_initial_data_rejected_at_parse(initial, message):
+    # each of these used to parse and then fail inside run / ensemble
+    with pytest.raises(ConfigError, match=message):
+        parse_config(MINIMAL.replace("kind = random\nseed = 3\nslope = 2.0", initial))
+
+
+def test_initial_mode_on_the_truncation_edge_accepted():
+    text = MINIMAL.replace("kind = random\nseed = 3\nslope = 2.0", SINGLE_MODE.format("-4,4,0"))
+    assert parse_config(text).run.initial.mode == (-4, 4, 0)

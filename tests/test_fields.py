@@ -21,7 +21,7 @@ from leray_alpha import (
     sobolev_norm,
     to_grid,
 )
-from leray_alpha.fields import inner_products, lattice, next_fft_size, scalar_squares
+from leray_alpha.fields import canonical_mode, energies, inner_products, lattice, next_fft_size, scalar_squares
 
 from oracles import brute_sobolev_norm, reconstruct_complex_grid
 
@@ -50,6 +50,33 @@ class TestLattice:
         lat = lattice(2)
         rows = [tuple(r) for r in lat.wavevectors]
         assert rows == sorted(rows)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_index_of_finds_every_mode(self, n):
+        lat = lattice(n)
+        rows = [lat.index_of(tuple(int(c) for c in k)) for k in lat.wavevectors]
+        assert rows == list(range(lat.size))
+
+    @pytest.mark.parametrize("k", [(0, 0, 0), (-1, 0, 0), (0, 2, -1), (1, -2, 0), (3, 0, 1), (0, 0, 3), (-4, 0, 0)])
+    def test_index_of_rejects_non_lattice_modes(self, k):
+        # the zero mode, a non-canonical -k, and k outside the n = 2 cube
+        with pytest.raises(ValueError, match=r"is not a canonical mode of n=2"):
+            lattice(2).index_of(k)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_canonical_mode_maps_both_members_onto_a_row(self, n):
+        lat = lattice(n)
+        side = range(-n, n + 1)
+        for k in ((a, b, c) for a in side for b in side for c in side if (a, b, c) != (0, 0, 0)):
+            row = lat.index_of(canonical_mode(k))
+            assert row == lat.index_of(canonical_mode((-k[0], -k[1], -k[2])))
+            assert tuple(lat.wavevectors[row]) in (k, (-k[0], -k[1], -k[2]))
+
+    def test_mirror_rows_are_the_kz0_plane(self):
+        lat = lattice(2)
+        k = lat.row_wavevectors
+        assert np.array_equal(k[: lat.size], lat.wavevectors)
+        assert np.array_equal(k[lat.size :], -lat.wavevectors[lat.wavevectors[:, 2] == 0])
 
     def test_next_fft_size(self):
         assert next_fft_size(14) == 15
@@ -282,6 +309,15 @@ class TestNorms:
             for w, s in enumerate((0.0, 1.0)):
                 one = inner_product(SpectralField(4, a[k]), SpectralField(4, b[k]), s)
                 assert block[k, w].tobytes() == np.float64(one).tobytes()
+
+    def test_block_energies_equal_one_state_at_a_time(self, ctx4):
+        block = np.stack([random_field(ctx4, seed=s).coeffs for s in (1, 2, 3)])
+        weights = [ctx4.lattice.power(2.0 * s) for s in (0.0, 1.0, 0.5)]
+        e = energies(block, weights)
+        assert e.shape == (3, 3)
+        for k, coeffs in enumerate(block):
+            for w, s in enumerate((0.0, 1.0, 0.5)):
+                assert math.sqrt(e[k, w]) == sobolev_norm(SpectralField(4, coeffs), s)
 
     def test_scalar_squares_use_the_scalar_power(self):
         # x ** 2 of a Python or numpy scalar calls the C library's pow, which
