@@ -24,6 +24,8 @@ from .fields import default_fft_workers, set_fft_workers
 from .integrator import run_ensemble, run_trajectory
 from .noise import audit_hypotheses
 from .output import (
+    TrajectoryCsvSink,
+    remove_incomplete_marker,
     write_incomplete_marker,
     write_regime_csv,
     write_series_csv,
@@ -79,6 +81,7 @@ def _write_snapshots(record, outdir: Path, prefix: str = "snapshot") -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     parsed = _load(args)
     outdir = _output_dir(args, parsed)
+    remove_incomplete_marker(outdir)
     set_fft_workers(default_fft_workers())
     record = run_trajectory(parsed.run)
     write_series_csv(record, outdir / "series.csv")
@@ -94,21 +97,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     parsed = _load(args)
     outdir = _output_dir(args, parsed)
+    remove_incomplete_marker(outdir)
     cfg = replace(parsed.run, snapshot_every=None)
     if parsed.workers <= 1:
         set_fft_workers(default_fft_workers())
-    records = run_ensemble(cfg, parsed.ensemble_size, parsed.workers)
-    for record in records:
-        write_series_csv(record, outdir / f"traj_{record.trajectory_id:04d}.csv")
-    stats = ensemble_moments(records, p=args.moment)
+    # the chunks write their trajectory CSVs and return only the norm rows
+    norms = run_ensemble(cfg, parsed.ensemble_size, parsed.workers, sink=TrajectoryCsvSink(outdir))
+    stats = ensemble_moments(norms, p=args.moment)
     write_summary_csv(stats, outdir / "summary.csv")
-    incomplete = [r for r in records if not r.complete]
+    incomplete = [r for r in norms if not r.complete]
     if incomplete:
         ids = ", ".join(str(r.trajectory_id) for r in incomplete)
         write_incomplete_marker(outdir, f"numerical blow-up in trajectories: {ids}")
         print(f"blow-up halt in trajectories {ids}; partial outputs written", file=sys.stderr)
         return EXIT_BLOWUP
-    print(f"wrote {len(records)} trajectories and {outdir / 'summary.csv'}")
+    print(f"wrote {len(norms)} trajectories and {outdir / 'summary.csv'}")
     return EXIT_OK
 
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fields import ModelContext
-from .integrator import InitialData, Monitor, RunConfig, grid_steps
+from .integrator import InitialData, Monitor, RunConfig, RunConfigError
 from .noise import (
     AdditiveNoise,
     DiagonalSpectralNoise,
@@ -46,6 +46,15 @@ _SCHEMA = {
     "output": {"directory"},
 }
 _REQUIRED_SECTIONS = ("model", "time", "noise", "initial")
+# the section of each RunConfig field whose check can fail
+_FIELD_SECTIONS = {
+    "dt": "time",
+    "horizon": "time",
+    "snapshot_every": "time",
+    "seed": "noise",
+    "initial": "initial",
+    "cutoff_radius": "cutoff",
+}
 
 
 @dataclass(frozen=True)
@@ -219,47 +228,30 @@ def parse_config(text: str, seed_override: int | None = None) -> ParsedConfig:
             raise ConfigError(f"[time] {key} is required")
     dt = _float("time", "dt", time["dt"])
     horizon = _float("time", "T", time["T"])
-    if dt <= 0:
-        raise ConfigError("[time] dt must be > 0")
-    if dt >= horizon:
-        raise ConfigError("[time] dt must be smaller than T")
-    if grid_steps(horizon, dt) is None:
-        raise ConfigError(f"[time] T = {horizon!r} is not a whole number of steps dt = {dt!r}")
+    snapshot_every = None
     if "snapshot_every" in time:
         snapshot_every = _float("time", "snapshot_every", time["snapshot_every"])
-        if snapshot_every <= 0:
-            raise ConfigError("[time] snapshot_every must be > 0")
-        if grid_steps(snapshot_every, dt) is None:
-            raise ConfigError(
-                f"[time] snapshot_every = {snapshot_every!r} is not a whole number of steps dt = {dt!r}"
-            )
-    else:
-        # the step count nearest T/10, at least one
-        snapshot_every = max(1, int(round((horizon / 10.0) / dt))) * dt
 
     noise = _build_noise(sections["noise"], n)
     seed = _int("noise", "seed", sections["noise"].get("seed", "0"))
     if seed_override is not None:
         seed = seed_override
-    if seed < 0:
-        raise ConfigError("[noise] seed must be >= 0")
 
     initial = _build_initial(sections["initial"])
 
     monitors = []
     for kind, raw in sections.get("monitors", {}).items():
         threshold = _float("monitors", kind, raw)
-        if threshold <= 0:
-            raise ConfigError(f"[monitors] {kind}: threshold must be > 0")
-        monitors.append(Monitor(kind, threshold))
+        try:
+            monitors.append(Monitor(kind, threshold))
+        except ValueError as exc:
+            raise ConfigError(f"[monitors] {kind}: {exc}") from None
 
     cutoff = None
     if "cutoff" in sections:
         if "R" not in sections["cutoff"]:
             raise ConfigError("[cutoff] R is required when the section is present")
         cutoff = _float("cutoff", "R", sections["cutoff"]["R"])
-        if cutoff <= 0:
-            raise ConfigError("[cutoff] R must be > 0")
 
     ens = sections.get("ensemble", {})
     size = _int("ensemble", "size", ens.get("size", "1"))
@@ -284,6 +276,9 @@ def parse_config(text: str, seed_override: int | None = None) -> ParsedConfig:
             snapshot_every=snapshot_every,
             nonlinear=nonlinear,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        if snapshot_every is None:
+            # the step count nearest T/10, at least one
+            run = replace(run, snapshot_every=max(1, int(round((horizon / 10.0) / dt))) * dt)
+    except RunConfigError as exc:
+        raise ConfigError(f"[{_FIELD_SECTIONS[exc.field]}] {exc}") from None
     return ParsedConfig(run=run, ensemble_size=size, workers=workers, output_dir=output_dir)

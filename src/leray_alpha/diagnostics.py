@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import TrajectoryRecord
+from .integrator import RunConfig, TrajectoryRecord
 
 # verdicts ordered weakest to strongest
 VERDICT_OUTSIDE = "outside"
@@ -104,14 +104,40 @@ class EnsembleStats:
     final_l2_sq: tuple[float, float]
 
 
+@dataclass(frozen=True)
+class NormSeries:
+    """What ensemble_moments reads of one trajectory: its config, its norm
+    rows ||u||_0, ||u||_1, ||u||_theta2, ||u||_{theta2+1} at the recorded
+    grid times, and whether it completed."""
+
+    cfg: RunConfig
+    norms: np.ndarray  # (4, len(t))
+    complete: bool
+
+    @classmethod
+    def of(cls, record: TrajectoryRecord) -> NormSeries:
+        rows = (record.norm_l2, record.norm_h1, record.norm_th2, record.norm_th2p1)
+        return cls(record.cfg, np.stack(rows), record.complete)
+
+    @property
+    def trajectory_id(self) -> int:
+        return self.cfg.trajectory_id
+
+    norm_l2 = property(lambda self: self.norms[0])
+    norm_h1 = property(lambda self: self.norms[1])
+    norm_th2 = property(lambda self: self.norms[2])
+    norm_th2p1 = property(lambda self: self.norms[3])
+
+
 def _trapezoid(values: np.ndarray, dt: float) -> float:
     return float(np.trapezoid(values, dx=dt))
 
 
-def ensemble_moments(records: list[TrajectoryRecord], p: float = 2.0) -> EnsembleStats:
+def ensemble_moments(records: list[TrajectoryRecord] | list[NormSeries], p: float = 2.0) -> EnsembleStats:
     """Estimate E sup_t ||u||_{L2}^p, E sup_t ||u||_1^p, the weighted
     dissipation integrals E int ||u||^{p-2} ||u||_{theta2(+1)}^2 dt and the
-    terminal energy, each with a jackknife standard error."""
+    terminal energy, each with a jackknife standard error, from records or
+    their NormSeries."""
     if not records:
         raise ValueError("no records")
     if p < 2:

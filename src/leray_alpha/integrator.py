@@ -18,6 +18,7 @@ recorded separately from monitor hits.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -35,7 +36,7 @@ from .fields import (
     set_fft_workers,
 )
 from .nonlinear import leray_advection
-from .noise import NoiseFamily, WienerStream, wiener_increment
+from .noise import NoiseFamily, WienerStream, wiener_increment  # noqa: F401  (perfbench/spans.py wraps it here)
 
 MONITOR_KINDS = ("tau_R", "rho_M", "gamma_K")
 
@@ -129,6 +130,14 @@ def grid_steps(span: float, dt: float) -> int | None:
     return steps
 
 
+class RunConfigError(ValueError):
+    """A value that a RunConfig check rejects; `field` names the field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one trajectory needs; ensembles vary trajectory_id only."""
@@ -147,22 +156,27 @@ class RunConfig:
 
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be positive and finite")
+            raise RunConfigError("dt", "dt must be positive and finite")
         if not (self.horizon > self.dt):
-            raise ValueError("horizon T must exceed dt")
+            raise RunConfigError("horizon", "dt must be smaller than T, the horizon")
         if grid_steps(self.horizon, self.dt) is None:
-            raise ValueError(f"horizon T = {self.horizon!r} is not a whole number of steps dt = {self.dt!r}")
+            raise RunConfigError(
+                "horizon", f"horizon T = {self.horizon!r} is not a whole number of steps dt = {self.dt!r}"
+            )
+        if self.seed < 0:
+            raise RunConfigError("seed", "seed must be >= 0")
         mode = self.initial.mode
         if mode is not None and max(abs(c) for c in mode) > self.ctx.n:
-            raise ValueError(f"initial mode {tuple(mode)} lies outside the truncation n={self.ctx.n}")
+            raise RunConfigError("initial", f"initial mode {tuple(mode)} lies outside the truncation n={self.ctx.n}")
         if self.cutoff_radius is not None and not self.cutoff_radius > 0:
-            raise ValueError("cutoff radius must be positive")
+            raise RunConfigError("cutoff_radius", "cutoff radius R must be positive")
         if self.snapshot_every is not None:
             if not self.snapshot_every > 0:
-                raise ValueError("snapshot cadence must be positive")
+                raise RunConfigError("snapshot_every", "snapshot_every must be positive")
             if grid_steps(self.snapshot_every, self.dt) is None:
-                raise ValueError(
-                    f"snapshot cadence {self.snapshot_every!r} is not a whole number of steps dt = {self.dt!r}"
+                raise RunConfigError(
+                    "snapshot_every",
+                    f"snapshot_every = {self.snapshot_every!r} is not a whole number of steps dt = {self.dt!r}",
                 )
         object.__setattr__(self, "monitors", tuple(self.monitors))
 
@@ -265,6 +279,7 @@ class _StepCore:
         lat = cfg.ctx.lattice
         th2 = cfg.ctx.theta2
         self.denom = (1.0 + cfg.dt * cfg.ctx.nu * cfg.ctx.dissipation_multiplier)[:, None]
+        self.sqrt_dt = math.sqrt(cfg.dt)
         # |k|^{2s} for s = 0, 1, theta2, theta2 + 1
         self.weights = [lat.power(2.0 * s) for s in (0.0, 1.0, th2, th2 + 1.0)]
 
@@ -280,6 +295,16 @@ class _StepCore:
             return leray_advection(SpectralField(self.cfg.ctx.n, coeffs), self.cfg.ctx).coeffs
         except NonFiniteStateError:
             return np.full_like(coeffs, np.nan)
+
+    def increments(self, streams: list[WienerStream], step_index: int) -> np.ndarray:
+        """The step's Wiener increments of K streams as one (K, dim) block:
+        each stream draws into its row, then the block is scaled by sqrt(dt)
+        once, which gives wiener_increment's values without its checks."""
+        dw = np.empty((len(streams), self.cfg.noise.dim))
+        for row, stream in zip(dw, streams):
+            stream._draw(step_index, row)
+        dw *= self.sqrt_dt
+        return dw
 
     def advance(
         self, u: np.ndarray, step_index: int, streams: list[WienerStream], rows: np.ndarray, inc: np.ndarray
@@ -307,7 +332,7 @@ class _StepCore:
             chi = np.array([smooth_cutoff(x, cfg.cutoff_radius) for x in h1[:, 0].tolist()])
         with np.errstate(over="ignore", invalid="ignore"):
             bconv = np.stack([self.advection(coeffs) for coeffs in u]) if cfg.nonlinear else None
-            dw = np.array([wiener_increment(stream, cfg.dt, step_index).values for stream in streams])
+            dw = self.increments(streams, step_index)
             gw = cfg.noise._apply_block(u, dw)
             new = u + chi[:, None, None] * gw
             if bconv is not None:
@@ -451,42 +476,50 @@ def detect_stopping(record: TrajectoryRecord, kind: str, threshold: float) -> fl
 # ensembles
 
 
+# maps one chunk's records to what the chunk returns, in the process that ran it
+ChunkSink = Callable[[list[TrajectoryRecord]], list]
+
+
 @dataclass(frozen=True)
 class _Chunk:
     """Trajectories trajectory_id, ..., trajectory_id + size - 1 of the
-    ensemble of cfg, advanced in lockstep by one process."""
+    ensemble of cfg, advanced in lockstep by one process; sink, when given,
+    maps their records to what the chunk returns, in that process."""
 
     cfg: RunConfig
     size: int
+    sink: ChunkSink | None = None
 
     @property
     def trajectory_id(self) -> int:
         return self.cfg.trajectory_id
 
-    def run(self) -> list[TrajectoryRecord]:
+    def run(self) -> list:
         first = self.cfg.trajectory_id
-        return _run_lockstep([replace(self.cfg, trajectory_id=first + i) for i in range(self.size)])
+        records = _run_lockstep([replace(self.cfg, trajectory_id=first + i) for i in range(self.size)])
+        return records if self.sink is None else self.sink(records)
 
 
-# Bytes of state and record one lockstep chunk may hold, which also bounds
-# what one pool task sends back.  A member carries 48 bytes of state per mode
-# and 8 bytes per series and increment row per step: the 500-step n = 1 OU
-# ensemble runs 9 members per chunk, and from n = 16 on a chunk has one, so
-# no chunk allocates (K, M, 3) blocks of many megabytes.
-_CHUNK_BYTES = 1 << 19
+# Bytes of state and record one lockstep chunk may hold while it runs.  A
+# member carries 48 bytes of state per mode and 8 bytes per series and
+# increment row per step: the 500-step n = 1 OU ensemble runs 73 members per
+# chunk, n = 16 runs 4 and from n = 24 on a chunk has one, so no chunk
+# allocates (K, M, 3) blocks of many megabytes.  What a pool task sends back
+# is bounded by its sink: whole records without one.
+_CHUNK_BYTES = 1 << 22
 
 
-def _chunks(cfg: RunConfig, size: int, workers: int) -> list[_Chunk]:
+def _chunks(cfg: RunConfig, size: int, workers: int, sink: ChunkSink | None = None) -> list[_Chunk]:
     """Contiguous chunks of the ids 0..size-1, at least one per worker and
     each within _CHUNK_BYTES, their sizes differing by at most 1."""
     modes = ((2 * cfg.ctx.n + 1) ** 3 - 1) // 2  # without building the lattice in this process
     member = 48 * modes + 8 * (len(SERIES_COLUMNS) + len(INCREMENT_COLUMNS)) * (cfg.steps + 1)
     count = max(min(workers, size), -(-size // max(1, _CHUNK_BYTES // member)))
     bounds = [size * i // count for i in range(count + 1)]
-    return [_Chunk(replace(cfg, trajectory_id=a), b - a) for a, b in zip(bounds, bounds[1:])]
+    return [_Chunk(replace(cfg, trajectory_id=a), b - a, sink) for a, b in zip(bounds, bounds[1:])]
 
 
-def _pool_worker(chunk: _Chunk) -> list[TrajectoryRecord]:
+def _pool_worker(chunk: _Chunk) -> list:
     return chunk.run()
 
 
@@ -494,20 +527,26 @@ def _pool_init(fft_workers: int) -> None:
     set_fft_workers(fft_workers)
 
 
-def run_ensemble(cfg: RunConfig, size: int, workers: int = 1) -> list[TrajectoryRecord]:
-    """Run `size` trajectories with ids 0..size-1, in lockstep chunks.
-    Records are identical for any worker count and chunking: streams are
-    keyed by (seed, id) and never shared, and a chunk member's numbers are
-    those of a run of its own."""
+def run_ensemble(cfg: RunConfig, size: int, workers: int = 1, *, sink: ChunkSink | None = None) -> list:
+    """Run `size` trajectories with ids 0..size-1, in lockstep chunks, and
+    return their records in id order.  Records are identical for any worker
+    count and chunking: streams are keyed by (seed, id) and never shared,
+    and a chunk member's numbers are those of a run of its own.
+
+    sink, a picklable callable, receives each chunk's records in the process
+    that ran the chunk and returns one result per record; run_ensemble then
+    returns those results in id order instead of the records."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
-    chunks = _chunks(cfg, size, workers)
-    if workers <= 1 or size == 1:
-        return [record for chunk in chunks for record in chunk.run()]
+    chunks = _chunks(cfg, size, workers, sink)
+    # a fork pool starts all its processes at once: no more than there are chunks
+    processes = min(workers, len(chunks))
+    if processes <= 1:
+        return [result for chunk in chunks for result in chunk.run()]
     import os
 
-    per_child = max(1, (os.cpu_count() or 1) // workers)
+    per_child = max(1, (os.cpu_count() or 1) // processes)
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(per_child,)
+        max_workers=processes, initializer=_pool_init, initargs=(per_child,)
     ) as pool:
-        return [record for records in pool.map(_pool_worker, chunks) for record in records]
+        return [result for results in pool.map(_pool_worker, chunks) for result in results]

@@ -61,6 +61,12 @@ class WienerStream:
         # empty buffer; a draw sets counter[3] to its step (the setter copies)
         object.__setattr__(self, "_state", bitgen.state)
 
+    def _draw(self, step: int, out: np.ndarray) -> np.ndarray:
+        """Fill out (dim,) with the step's standard normals, unchecked."""
+        self._state["state"]["counter"][3] = step
+        self._bitgen.state = self._state
+        return self._normal.standard_normal(out=out)
+
 
 @dataclass(frozen=True)
 class WienerIncrement:
@@ -80,9 +86,7 @@ def wiener_increment(stream: WienerStream, dt: float, step: int) -> WienerIncrem
         raise ValueError("dt must be positive")
     if step < 0:
         raise ValueError("step index must be >= 0")
-    stream._state["state"]["counter"][3] = step
-    stream._bitgen.state = stream._state
-    draws = stream._normal.standard_normal(stream.dim)
+    draws = stream._draw(step, np.empty(stream.dim))
     return WienerIncrement(dt, draws * math.sqrt(dt))
 
 

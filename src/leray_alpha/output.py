@@ -5,9 +5,13 @@ are byte-identical for identical runs regardless of worker count.
 
 from __future__ import annotations
 
+import os
+from dataclasses import dataclass
 from pathlib import Path
 
-from .diagnostics import EnsembleStats, RegimeVerdict
+import numpy as np
+
+from .diagnostics import EnsembleStats, NormSeries, RegimeVerdict
 from .integrator import TrajectoryRecord
 
 INCOMPLETE_MARKER = "INCOMPLETE"
@@ -36,14 +40,37 @@ def series_header(record: TrajectoryRecord) -> list[str]:
 
 
 def write_series_csv(record: TrajectoryRecord, path: str | Path) -> None:
+    """Write the record's series to path through a temporary file in the
+    same directory, so a file at path is always complete."""
     lines = [",".join(series_header(record))]
     columns = [getattr(record, attr) for _, attr in SERIES_CSV_COLUMNS]
+    # repr of the Python floats that tolist() gives is _fmt of each value
+    lines += [",".join(map(repr, row)) for row in np.stack(columns, axis=1).tolist()]
     hits = [h.hit_time if h is not None else None for h in record.hits]
-    for i, t in enumerate(record.t):
-        row = [_fmt(col[i]) for col in columns]
-        row += ["1" if hit is not None and t >= hit else "0" for hit in hits]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    if hits:
+        for i, t in enumerate(record.t.tolist(), start=1):
+            lines[i] += "".join(",1" if hit is not None and t >= hit else ",0" for hit in hits)
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_text("\n".join(lines) + "\n")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+@dataclass(frozen=True)
+class TrajectoryCsvSink:
+    """run_ensemble sink of the `ensemble` command: in the process that ran
+    a chunk, writes each member's traj_NNNN.csv into directory and returns
+    only the NormSeries that ensemble_moments reads."""
+
+    directory: Path
+
+    def __call__(self, records: list[TrajectoryRecord]) -> list[NormSeries]:
+        for record in records:
+            write_series_csv(record, self.directory / f"traj_{record.trajectory_id:04d}.csv")
+        return [NormSeries.of(record) for record in records]
 
 
 def write_summary_csv(stats: EnsembleStats, path: str | Path) -> None:
@@ -70,3 +97,8 @@ def write_regime_csv(rows: list[RegimeVerdict], path: str | Path) -> None:
 
 def write_incomplete_marker(directory: str | Path, reason: str) -> None:
     Path(directory, INCOMPLETE_MARKER).write_text(reason + "\n")
+
+
+def remove_incomplete_marker(directory: str | Path) -> None:
+    """Drop a marker left by an earlier run into the same directory."""
+    Path(directory, INCOMPLETE_MARKER).unlink(missing_ok=True)

@@ -29,6 +29,7 @@ from .integrator import (
     INCREMENT_COLUMNS,
     SERIES_COLUMNS,
     InitialData,
+    Monitor,
     RunConfig,
     _Chunk,
     run_trajectory,
@@ -36,6 +37,7 @@ from .integrator import (
 )
 from .nonlinear import leray_advection, pointwise_multiply, trilinear
 from .noise import AdditiveNoise, LinearMultiplicativeNoise
+from .output import TrajectoryCsvSink, write_series_csv
 from .snapshots import SnapshotMeta, read_snapshot, write_snapshot
 
 _CTX = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=4)
@@ -146,16 +148,21 @@ def _check_linear_decay() -> str:
     return f"relative error {err:.1e}"
 
 
-def _check_lockstep_ensemble() -> str:
-    # an ensemble chunk advances its members as one (K, M, 3) block
-    cfg = RunConfig(
+def _chunk_cfg() -> RunConfig:
+    return RunConfig(
         ctx=ModelContext(nu=0.5, alpha=1.0, theta1=1.0, theta2=1.0, n=2),
         dt=0.02,
         horizon=0.2,
         noise=AdditiveNoise(((0, 0, 1), (1, 1, 0), (1, 2, 1)), (0.5, 0.3, 0.2), 2),
         initial=InitialData(kind="random", amplitude=1.0, seed=5),
         seed=23,
+        monitors=(Monitor("gamma_K", 0.3),),  # hit after a few steps
     )
+
+
+def _check_lockstep_ensemble() -> str:
+    # an ensemble chunk advances its members as one (K, M, 3) block
+    cfg = _chunk_cfg()
     for tid, record in enumerate(_Chunk(cfg, 3).run()):
         alone = run_trajectory(replace(cfg, trajectory_id=tid))
         for name in SERIES_COLUMNS + INCREMENT_COLUMNS:
@@ -164,6 +171,22 @@ def _check_lockstep_ensemble() -> str:
         same = record.final_field.coeffs.tobytes() == alone.final_field.coeffs.tobytes()
         assert same, f"member {tid}: final state differs from its serial run"
     return "3-member chunk bitwise equal to 3 serial runs"
+
+
+def _check_streamed_ensemble() -> str:
+    # the ensemble command's chunks write their own trajectory CSVs
+    cfg = _chunk_cfg()
+    with tempfile.TemporaryDirectory() as tmp:
+        streamed = Path(tmp, "streamed")
+        streamed.mkdir()
+        _Chunk(cfg, 3, TrajectoryCsvSink(streamed)).run()
+        names = [f"traj_{tid:04d}.csv" for tid in range(3)]
+        assert sorted(p.name for p in streamed.iterdir()) == names, "unexpected files in the output directory"
+        for tid, name in enumerate(names):
+            write_series_csv(run_trajectory(replace(cfg, trajectory_id=tid)), Path(tmp, name))
+            same = Path(streamed, name).read_bytes() == Path(tmp, name).read_bytes()
+            assert same, f"{name} differs from the CSV of its serial run"
+    return "3-member chunk CSVs byte-equal to 3 serial runs"
 
 
 def _check_cutoff_profile() -> str:
@@ -209,6 +232,7 @@ CHECKS = [
     ("product-grid kernel", _check_product_grid),
     ("linear decay", _check_linear_decay),
     ("lockstep ensemble", _check_lockstep_ensemble),
+    ("streamed ensemble", _check_streamed_ensemble),
     ("cutoff profile", _check_cutoff_profile),
     ("snapshot round-trip", _check_snapshot_round_trip),
     ("regime anchors", _check_regime_anchors),

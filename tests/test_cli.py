@@ -183,6 +183,66 @@ def test_blowup_exit_code_and_marker(tmp_path):
     assert (out / "series.csv").exists()  # partial series flushed
 
 
+BLOWUP_ENSEMBLE_CFG = """
+[model]
+nu = 1e-9
+alpha = 1.0
+theta1 = 1.0
+theta2 = 1.0
+n = 3
+
+[time]
+dt = 50.0
+T = 5000.0
+
+[noise]
+family = linear_multiplicative
+sigma = 0.0
+
+[initial]
+kind = random
+seed = 6
+amplitude = 100.0
+
+[ensemble]
+size = 2
+"""
+
+
+@pytest.mark.parametrize("command, good", [("run", DECAY_CFG), ("ensemble", ENSEMBLE_CFG)], ids=["run", "ensemble"])
+def test_successful_rerun_removes_stale_marker(tmp_path, command, good):
+    out = tmp_path / "out"
+    (tmp_path / "blow.ini").write_text(BLOWUP_ENSEMBLE_CFG)
+    (tmp_path / "good.ini").write_text(good)
+    assert main([command, "--config", str(tmp_path / "blow.ini"), "--output", str(out)]) == EXIT_BLOWUP
+    assert (out / "INCOMPLETE").read_text().startswith("numerical blow-up")
+    assert main([command, "--config", str(tmp_path / "good.ini"), "--output", str(out)]) == EXIT_OK
+    assert not (out / "INCOMPLETE").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_ensemble_parent_receives_only_norm_rows(tmp_path, monkeypatch, workers):
+    from leray_alpha import cli
+    from leray_alpha.diagnostics import NormSeries
+
+    received = []
+
+    def spy(*args, **kwargs):
+        results = run_ensemble(*args, **kwargs)
+        received.extend(results)
+        return results
+
+    run_ensemble = cli.run_ensemble
+    monkeypatch.setattr(cli, "run_ensemble", spy)
+    cfg = tmp_path / "ens.ini"
+    cfg.write_text(ENSEMBLE_CFG)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(cfg), "--workers", workers, "--output", str(out)]) == EXIT_OK
+    assert [type(r) for r in received] == [NormSeries] * 4
+    assert not any(hasattr(r, "final_field") or hasattr(r, "mart_l2") for r in received)
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv"] + [f"traj_{i:04d}.csv" for i in range(4)]
+
+
 def test_audit_noise_writes_report(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(ENSEMBLE_CFG)

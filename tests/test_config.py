@@ -82,7 +82,7 @@ def test_dt_not_smaller_than_horizon_rejected():
 def test_off_grid_times_rejected():
     # dt = 0.3, T = 1.0 would end at t = 0.9 and snapshot every 0.3
     bad = MINIMAL.replace("dt = 0.01", "dt = 0.3")
-    with pytest.raises(ConfigError, match=r"\[time\] T = 1.0 is not a whole number of steps"):
+    with pytest.raises(ConfigError, match=r"\[time\] horizon T = 1.0 is not a whole number of steps dt = 0.3"):
         parse_config(bad)
     bad = MINIMAL.replace("T = 1.0", "T = 1.0\nsnapshot_every = 0.025")
     with pytest.raises(ConfigError, match=r"\[time\] snapshot_every = 0.025 is not a whole number of steps"):

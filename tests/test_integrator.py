@@ -1,6 +1,7 @@
 """Semi-implicit scheme, cutoff profile, stopping monitors, ensembles."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -25,9 +26,11 @@ from leray_alpha import (
 )
 from leray_alpha import integrator
 from leray_alpha.fields import NonFiniteStateError, lattice, polarization
+from leray_alpha.diagnostics import NormSeries, ensemble_moments
 from leray_alpha.integrator import INCREMENT_COLUMNS, SERIES_COLUMNS, initial_state
 from leray_alpha.nonlinear import leray_advection
-from leray_alpha.noise import WienerStream, wiener_increment
+from leray_alpha.noise import WienerStream, decay_modes, wiener_increment
+from leray_alpha.output import TrajectoryCsvSink, write_series_csv, write_summary_csv
 
 from oracles import brute_advection
 
@@ -470,6 +473,117 @@ class TestLockstepEnsembles:
             assert record.final_field.coeffs.tobytes() == final.tobytes()
 
 
+class TestBatchedDraws:
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            LinearMultiplicativeNoise(0.1),
+            AdditiveNoise(((0, 0, 1), (1, 1, 0), (1, 2, 1)), (0.5, 0.3, 0.2), 4),
+            DiagonalSpectralNoise(*decay_modes(4, 300, 0.5, 1.0), 4),
+        ],
+        ids=["dim1", "dim3", "dim300"],
+    )
+    def test_increment_block_equals_wiener_increment(self, noise):
+        cfg = RunConfig(
+            ctx=ModelContext(nu=0.5, alpha=1.0, theta1=1.0, theta2=1.0, n=4),
+            dt=0.02,
+            horizon=0.2,
+            noise=noise,
+            initial=InitialData(kind="random", amplitude=1.0, seed=1),
+            seed=7,
+        )
+        core = integrator._StepCore(cfg)
+        streams = [WienerStream(cfg.seed, tid, noise.dim) for tid in (0, 1, 5)]
+        for step_index in (0, 1, 2**40):
+            block = core.increments(streams, step_index)
+            assert block.shape == (3, noise.dim)
+            for row, stream in zip(block, streams):
+                assert row.tobytes() == wiener_increment(stream, cfg.dt, step_index).values.tobytes()
+
+
+def streamed_blowup_cfg():
+    # monitors hit at different steps in each member before it blows up
+    monitors = (Monitor("tau_R", 10.0), Monitor("rho_M", 1e3), Monitor("gamma_K", 100.0))
+    return replace(blowup_ensemble_cfg(), snapshot_every=None, monitors=monitors)
+
+
+class TestEnsembleSink:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_streamed_csvs_equal_serial_records(self, tmp_path, workers):
+        cfg = streamed_blowup_cfg()
+        out = tmp_path / "out"
+        out.mkdir()
+        results = run_ensemble(cfg, 6, workers=workers, sink=TrajectoryCsvSink(out))
+        assert [type(r) for r in results] == [NormSeries] * 6
+        assert [r.trajectory_id for r in results] == list(range(6))
+        assert [r.complete for r in results] == [False, False, False, True, False, False]
+        names = [f"traj_{tid:04d}.csv" for tid in range(6)]
+        assert sorted(p.name for p in out.iterdir()) == names  # no temporary file is left
+        serial = tmp_path / "serial.csv"
+        for tid, name in enumerate(names):
+            record = run_trajectory(replace(cfg, trajectory_id=tid))
+            write_series_csv(record, serial)
+            assert (out / name).read_bytes() == serial.read_bytes(), name
+            assert results[tid].norms.tobytes() == np.stack([record.norm_l2, record.norm_h1, record.norm_th2,
+                                                             record.norm_th2p1]).tobytes()
+        assert any("1" in line.split(",")[-3:] for line in (out / names[3]).read_text().splitlines()[1:])
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_summary_from_norm_series_equals_full_records(self, tmp_path, p):
+        cfg = replace(family_cfg(FAMILIES["diagonal-spectral"]), snapshot_every=None)
+        records = run_ensemble(cfg, 5, workers=1)
+        slim = run_ensemble(cfg, 5, workers=2, sink=TrajectoryCsvSink(tmp_path))
+        write_summary_csv(ensemble_moments(records, p=p), tmp_path / "full.csv")
+        write_summary_csv(ensemble_moments(slim, p=p), tmp_path / "slim.csv")
+        assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "slim.csv").read_bytes()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        record = run_trajectory(linear_cfg(horizon=0.01, dt=0.005))
+
+        def fail(self, text):
+            with self.open("w") as handle:
+                handle.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(type(tmp_path), "write_text", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_series_csv(record, tmp_path / "traj_0000.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pool_has_no_more_processes_than_chunks(self, monkeypatch):
+        started = []
+        pool = integrator.ProcessPoolExecutor
+
+        def counting_pool(max_workers, **kwargs):
+            started.append((max_workers, kwargs["initargs"]))
+            return pool(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(integrator, "ProcessPoolExecutor", counting_pool)
+        cfg = linear_cfg(horizon=0.01, dt=0.005)
+        records = run_ensemble(cfg, 2, workers=6)
+        assert [r.trajectory_id for r in records] == [0, 1]
+        assert started == [(2, (max(1, (os.cpu_count() or 1) // 2),))]
+
+    def test_default_cap_chunk_sizes(self):
+        # the README's figures: the 500-step n = 1 OU ensemble runs two
+        # chunks of 32 at two workers, n = 16 holds 4 members a chunk
+        # and n = 24 one
+        ou = RunConfig(
+            ctx=ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=1),
+            dt=0.02,
+            horizon=10.0,
+            noise=AdditiveNoise(((0, 0, 1),), (0.2,), 1),
+            initial=InitialData(kind="single_mode", mode=(0, 0, 1), amplitude=0.0),
+            nonlinear=False,
+        )
+        assert [c.size for c in integrator._chunks(ou, 64, 2)] == [32, 32]
+        assert [c.size for c in integrator._chunks(ou, 200, 1)] == [66, 67, 67]
+        big = replace(ou, ctx=replace(ou.ctx, n=16), horizon=0.5)
+        assert [c.size for c in integrator._chunks(big, 4, 2)] == [2, 2]
+        assert [c.size for c in integrator._chunks(big, 8, 1)] == [4, 4]
+        assert [c.size for c in integrator._chunks(replace(big, ctx=replace(ou.ctx, n=24)), 2, 1)] == [1, 1]
+
+
 class TestMonitors:
     def test_tau_r_hits_at_zero_when_threshold_below_initial(self):
         cfg = linear_cfg()
@@ -577,9 +691,9 @@ class TestConfigValidation:
     def test_off_grid_times_rejected(self):
         with pytest.raises(ValueError, match="horizon T = 1.0 is not a whole number of steps dt = 0.3"):
             linear_cfg(dt=0.3, horizon=1.0)
-        with pytest.raises(ValueError, match="snapshot cadence 0.25 is not a whole number of steps dt = 0.1"):
+        with pytest.raises(ValueError, match="snapshot_every = 0.25 is not a whole number of steps dt = 0.1"):
             linear_cfg(dt=0.1, snapshot_every=0.25)
-        with pytest.raises(ValueError, match="snapshot cadence"):
+        with pytest.raises(ValueError, match="snapshot_every = 0.0005 is not a whole number of steps"):
             linear_cfg(snapshot_every=5e-4)
         # within the relative tolerance of 1e-9
         assert linear_cfg(dt=0.1, horizon=0.3, snapshot_every=0.2).steps == 3
