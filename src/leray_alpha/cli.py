@@ -103,15 +103,24 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         set_fft_workers(default_fft_workers())
     # the chunks write their trajectory CSVs and return only the norm rows
     norms = run_ensemble(cfg, parsed.ensemble_size, parsed.workers, sink=TrajectoryCsvSink(outdir))
-    stats = ensemble_moments(norms, p=args.moment)
-    write_summary_csv(stats, outdir / "summary.csv")
-    incomplete = [r for r in norms if not r.complete]
-    if incomplete:
-        ids = ", ".join(str(r.trajectory_id) for r in incomplete)
-        write_incomplete_marker(outdir, f"numerical blow-up in trajectories: {ids}")
+    halted = [r.trajectory_id for r in norms if not r.complete]
+    completed = len(norms) - len(halted)
+    summary = outdir / "summary.csv"
+    if completed:
+        write_summary_csv(ensemble_moments(norms, p=args.moment), summary)  # over the complete members
+    else:
+        summary.unlink(missing_ok=True)  # one left by an earlier run
+    if halted:
+        ids = ", ".join(map(str, halted))
+        note = (
+            f"summary.csv averages the {completed} of {len(norms)} trajectories that completed"
+            if completed
+            else "no trajectory completed, so there is no summary.csv"
+        )
+        write_incomplete_marker(outdir, f"numerical blow-up in trajectories: {ids}; {note}")
         print(f"blow-up halt in trajectories {ids}; partial outputs written", file=sys.stderr)
         return EXIT_BLOWUP
-    print(f"wrote {len(norms)} trajectories and {outdir / 'summary.csv'}")
+    print(f"wrote {len(norms)} trajectories and {summary}")
     return EXIT_OK
 
 

@@ -107,26 +107,15 @@ class EnsembleStats:
 @dataclass(frozen=True)
 class NormSeries:
     """What ensemble_moments reads of one trajectory: its config, its norm
-    rows ||u||_0, ||u||_1, ||u||_theta2, ||u||_{theta2+1} at the recorded
-    grid times, and whether it completed."""
+    rows (TrajectoryRecord.norms) and whether it completed."""
 
     cfg: RunConfig
     norms: np.ndarray  # (4, len(t))
     complete: bool
 
-    @classmethod
-    def of(cls, record: TrajectoryRecord) -> NormSeries:
-        rows = (record.norm_l2, record.norm_h1, record.norm_th2, record.norm_th2p1)
-        return cls(record.cfg, np.stack(rows), record.complete)
-
     @property
     def trajectory_id(self) -> int:
         return self.cfg.trajectory_id
-
-    norm_l2 = property(lambda self: self.norms[0])
-    norm_h1 = property(lambda self: self.norms[1])
-    norm_th2 = property(lambda self: self.norms[2])
-    norm_th2p1 = property(lambda self: self.norms[3])
 
 
 def _trapezoid(values: np.ndarray, dt: float) -> float:
@@ -137,7 +126,8 @@ def ensemble_moments(records: list[TrajectoryRecord] | list[NormSeries], p: floa
     """Estimate E sup_t ||u||_{L2}^p, E sup_t ||u||_1^p, the weighted
     dissipation integrals E int ||u||^{p-2} ||u||_{theta2(+1)}^2 dt and the
     terminal energy, each with a jackknife standard error, from records or
-    their NormSeries."""
+    their NormSeries.  Only complete trajectories enter the estimates and
+    the count: a halted one has no values at the later grid times."""
     if not records:
         raise ValueError("no records")
     if p < 2:
@@ -146,19 +136,24 @@ def ensemble_moments(records: list[TrajectoryRecord] | list[NormSeries], p: floa
     for rec in records[1:]:
         if rec.cfg.ensemble_key() != key:
             raise ValueError("mixed configurations in ensemble")
+    complete = [r for r in records if r.complete]
+    if not complete:
+        raise ValueError("no complete trajectories")
     dt = records[0].cfg.dt
-    sup_l2 = np.array([np.max(r.norm_l2**p) for r in records])
-    sup_h1 = np.array([np.max(r.norm_h1**p) for r in records])
-    diss_l2 = np.array(
-        [_trapezoid(r.norm_l2 ** (p - 2) * r.norm_th2**2, dt) for r in records]
-    )
-    diss_h1 = np.array(
-        [_trapezoid(r.norm_h1 ** (p - 2) * r.norm_th2p1**2, dt) for r in records]
-    )
-    final = np.array([r.norm_l2[-1] ** 2 for r in records])
+    per_trajectory = [
+        (
+            np.max(l2**p),
+            np.max(h1**p),
+            _trapezoid(l2 ** (p - 2) * th2**2, dt),
+            _trapezoid(h1 ** (p - 2) * th2p1**2, dt),
+            l2[-1] ** 2,
+        )
+        for l2, h1, th2, th2p1 in (r.norms for r in complete)
+    ]
+    sup_l2, sup_h1, diss_l2, diss_h1, final = (np.array(column) for column in zip(*per_trajectory))
     return EnsembleStats(
         p=p,
-        count=len(records),
+        count=len(complete),
         sup_l2=jackknife_mean(sup_l2),
         sup_h1=jackknife_mean(sup_h1),
         diss_l2=jackknife_mean(diss_l2),

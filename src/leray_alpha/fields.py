@@ -496,8 +496,10 @@ def energies(coeffs: np.ndarray, weights) -> np.ndarray:
     """Full-lattice energies 2 sum_k w_k |u_k|^2 of a block of coefficient
     arrays (..., M, 3), for each of the W weight arrays w (M,): shape
     (..., W).  Each row is reduced along its own contiguous axis, so a
-    member of a block gets the numbers it would get alone."""
-    e = np.sum(np.abs(coeffs) ** 2, axis=-1)
+    member of a block gets the numbers it would get alone.  A fancy-indexed
+    block such as coeffs[:, rows] is not C-ordered, and numpy would sum its
+    rows in another order, so e is made contiguous first."""
+    e = np.ascontiguousarray(np.sum(np.abs(coeffs) ** 2, axis=-1))
     return 2.0 * np.stack([(w * e).sum(axis=-1) for w in weights], axis=-1)
 
 

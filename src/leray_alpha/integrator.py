@@ -182,7 +182,7 @@ class RunConfig:
 
     @property
     def steps(self) -> int:
-        return max(1, int(round(self.horizon / self.dt)))
+        return grid_steps(self.horizon, self.dt)
 
     def ensemble_key(self) -> tuple:
         """Identity of the run setup; trajectories of one ensemble share it."""
@@ -208,9 +208,9 @@ class TrajectoryState:
     halted: StoppingRecord | None = None
 
 
-# Row names of the two blocks run_trajectory fills, one TrajectoryRecord
-# attribute each: values at the steps + 1 grid times, and per-step ledger
-# increments.
+# Row names of a TrajectoryRecord's two blocks: values at the steps + 1 grid
+# times, and per-step ledger increments.  Each name is also a read-only
+# record attribute that returns its row.
 SERIES_COLUMNS = (
     "t",
     "norm_l2",
@@ -225,30 +225,34 @@ INCREMENT_COLUMNS = ("mart_l2", "inj_l2", "mart_h1", "inj_h1", "adv_h1", "chi")
 _NORM_ROWS = slice(1, 5)  # norm_l2 .. norm_th2p1
 
 
+def _named_rows(cls):
+    """Give cls one read-only attribute per row name of its two blocks."""
+    for block, names in (("series", SERIES_COLUMNS), ("increments", INCREMENT_COLUMNS)):
+        for index, name in enumerate(names):
+            setattr(cls, name, property(lambda record, block=block, index=index: getattr(record, block)[index]))
+    return cls
+
+
+@_named_rows
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """One sample path: norm time series, energy-ledger increments, monitor
-    outcomes and optional snapshots.  Arrays are truncated at the halt point
-    when a run blows up (complete = False)."""
+    """One sample path: the series block (len(SERIES_COLUMNS), len(t)) of
+    norms and cumulative integrals at the grid times, the increment block
+    (len(INCREMENT_COLUMNS), len(t) - 1) of per-step ledger terms, monitor
+    outcomes and optional snapshots.  Both blocks end at the last finite
+    state when a run blows up (complete = False)."""
 
     cfg: RunConfig
-    t: np.ndarray
-    norm_l2: np.ndarray
-    norm_h1: np.ndarray
-    norm_th2: np.ndarray
-    norm_th2p1: np.ndarray
-    int_diss_th2: np.ndarray
-    int_diss_th2p1: np.ndarray
-    injection_cum: np.ndarray
-    mart_l2: np.ndarray
-    inj_l2: np.ndarray
-    mart_h1: np.ndarray
-    inj_h1: np.ndarray
-    adv_h1: np.ndarray
-    chi: np.ndarray
+    series: np.ndarray
+    increments: np.ndarray
     overflow: StoppingRecord | None
     snapshots: tuple[tuple[float, SpectralField], ...]
     final_field: SpectralField
+
+    @property
+    def norms(self) -> np.ndarray:
+        """The (4, len(t)) rows ||u||_0, ||u||_1, ||u||_theta2, ||u||_{theta2+1}."""
+        return self.series[_NORM_ROWS]
 
     @property
     def complete(self) -> bool:
@@ -412,9 +416,7 @@ def _run_lockstep(cfgs: list[RunConfig]) -> list[TrajectoryRecord]:
     series[:, 0] = t
     series[:, _NORM_ROWS, 0] = core.norms(u0.coeffs)
 
-    cadence = None
-    if cfg.snapshot_every is not None:
-        cadence = max(1, int(round(cfg.snapshot_every / cfg.dt)))
+    cadence = None if cfg.snapshot_every is None else grid_steps(cfg.snapshot_every, cfg.dt)
     snapshots: list[list[tuple[float, SpectralField]]] = [[(0.0, u0)] if cadence is not None else [] for _ in cfgs]
     records: list[TrajectoryRecord | None] = [None] * len(cfgs)
 
@@ -427,12 +429,7 @@ def _run_lockstep(cfgs: list[RunConfig]) -> list[TrajectoryRecord]:
         if overflow is not None:
             rows, incs, final = rows.copy(), incs.copy(), final.copy()
         records[member] = TrajectoryRecord(
-            cfg=cfgs[member],
-            **dict(zip(SERIES_COLUMNS, rows)),
-            **dict(zip(INCREMENT_COLUMNS, incs)),
-            overflow=overflow,
-            snapshots=tuple(snapshots[member]),
-            final_field=SpectralField(n, final),
+            cfgs[member], rows, incs, overflow, tuple(snapshots[member]), SpectralField(n, final)
         )
 
     for m in range(steps):

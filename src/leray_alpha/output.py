@@ -9,8 +9,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .diagnostics import EnsembleStats, NormSeries, RegimeVerdict
 from .integrator import TrajectoryRecord
 
@@ -21,31 +19,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# (CSV header, TrajectoryRecord attribute) of the fixed series columns
-SERIES_CSV_COLUMNS = (
-    ("t", "t"),
-    ("norm_L2", "norm_l2"),
-    ("norm_H1", "norm_h1"),
-    ("norm_Htheta2", "norm_th2"),
-    ("norm_Htheta2p1", "norm_th2p1"),
-    ("int_diss_theta2", "int_diss_th2"),
-    ("int_diss_theta2p1", "int_diss_th2p1"),
-    ("injection_cum", "injection_cum"),
+# CSV header of each series row, in SERIES_COLUMNS order
+SERIES_HEADER = (
+    "t",
+    "norm_L2",
+    "norm_H1",
+    "norm_Htheta2",
+    "norm_Htheta2p1",
+    "int_diss_theta2",
+    "int_diss_theta2p1",
+    "injection_cum",
 )
-
-
-def series_header(record: TrajectoryRecord) -> list[str]:
-    cols = [header for header, _ in SERIES_CSV_COLUMNS]
-    return cols + [f"flag_{mon.kind}" for mon in record.cfg.monitors]
 
 
 def write_series_csv(record: TrajectoryRecord, path: str | Path) -> None:
     """Write the record's series to path through a temporary file in the
     same directory, so a file at path is always complete."""
-    lines = [",".join(series_header(record))]
-    columns = [getattr(record, attr) for _, attr in SERIES_CSV_COLUMNS]
+    lines = [",".join([*SERIES_HEADER, *(f"flag_{mon.kind}" for mon in record.cfg.monitors)])]
     # repr of the Python floats that tolist() gives is _fmt of each value
-    lines += [",".join(map(repr, row)) for row in np.stack(columns, axis=1).tolist()]
+    lines += [",".join(map(repr, row)) for row in record.series.T.tolist()]
     hits = [h.hit_time if h is not None else None for h in record.hits]
     if hits:
         for i, t in enumerate(record.t.tolist(), start=1):
@@ -70,7 +62,8 @@ class TrajectoryCsvSink:
     def __call__(self, records: list[TrajectoryRecord]) -> list[NormSeries]:
         for record in records:
             write_series_csv(record, self.directory / f"traj_{record.trajectory_id:04d}.csv")
-        return [NormSeries.of(record) for record in records]
+        # a copy, so that only the norm rows outlive the chunk's blocks
+        return [NormSeries(record.cfg, record.norms.copy(), record.complete) for record in records]
 
 
 def write_summary_csv(stats: EnsembleStats, path: str | Path) -> None:

@@ -1,6 +1,7 @@
 """CLI dispatch: outputs, determinism, exit codes."""
 
 import math
+import warnings
 
 import pytest
 
@@ -267,3 +268,71 @@ def test_output_env_var_default(tmp_path, monkeypatch):
     code = main(["classify", "--theta1", "1", "--theta2", "1"])
     assert code == EXIT_OK
     assert (tmp_path / "envout" / "regime_map.csv").exists()
+
+
+SIX_MEMBER_BLOWUP_CFG = """
+[model]
+nu = 1e-8
+alpha = 1.0
+theta1 = 0.0
+theta2 = 1.0
+n = 3
+
+[time]
+dt = 1.0
+T = 16.0
+
+[noise]
+family = linear_multiplicative
+sigma = 0.3
+seed = 0
+
+[initial]
+kind = random
+seed = 6
+amplitude = 1.0
+
+[ensemble]
+size = 6
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_blowup_summary_covers_complete_members_only(tmp_path, workers):
+    from dataclasses import replace
+
+    from leray_alpha.config import parse_config
+    from leray_alpha.diagnostics import ensemble_moments
+    from leray_alpha.integrator import run_trajectory
+    from leray_alpha.output import write_summary_csv
+
+    cfg = tmp_path / "blow.ini"
+    cfg.write_text(SIX_MEMBER_BLOWUP_CFG)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the jackknife of huge halted values overflowed
+        assert main(["ensemble", "--config", str(cfg), "--workers", workers, "--output", str(out)]) == EXIT_BLOWUP
+    # ids 0, 1, 2, 4 and 5 halt; 3 is the one member that completes
+    record = run_trajectory(replace(parse_config(SIX_MEMBER_BLOWUP_CFG).run, trajectory_id=3))
+    assert record.complete
+    write_summary_csv(ensemble_moments([record]), tmp_path / "expected.csv")
+    assert (out / "summary.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    _, rows = read_csv(out / "summary.csv")
+    assert rows[-1] == ["count", "1", "0"]
+    assert (out / "INCOMPLETE").read_text() == (
+        "numerical blow-up in trajectories: 0, 1, 2, 4, 5; "
+        "summary.csv averages the 1 of 6 trajectories that completed\n"
+    )
+
+
+def test_no_complete_member_writes_no_summary(tmp_path):
+    out = tmp_path / "out"
+    (tmp_path / "good.ini").write_text(ENSEMBLE_CFG)
+    (tmp_path / "blow.ini").write_text(BLOWUP_ENSEMBLE_CFG)
+    assert main(["ensemble", "--config", str(tmp_path / "good.ini"), "--output", str(out)]) == EXIT_OK
+    assert (out / "summary.csv").exists()
+    assert main(["ensemble", "--config", str(tmp_path / "blow.ini"), "--output", str(out)]) == EXIT_BLOWUP
+    assert not (out / "summary.csv").exists()  # nor the earlier run's
+    assert (out / "INCOMPLETE").read_text() == (
+        "numerical blow-up in trajectories: 0, 1; no trajectory completed, so there is no summary.csv\n"
+    )

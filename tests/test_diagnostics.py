@@ -1,6 +1,8 @@
 """Energy ledgers, Monte-Carlo moments, regime classification."""
 
 import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from leray_alpha import (
     LinearMultiplicativeNoise,
     ModelContext,
     RunConfig,
+    StoppingRecord,
     classify_regime,
     energy_ledger,
     ensemble_moments,
@@ -157,6 +160,20 @@ class TestEnsembleMoments:
         )
         ratio = se_full / se_half
         assert 0.6 <= ratio <= 0.82
+
+    def test_only_complete_trajectories_count(self):
+        records = run_ensemble(ou_cfg(), 4, workers=1)
+        halted = replace(
+            records[1],
+            series=records[1].series[:, :11],
+            increments=records[1].increments[:, :10],
+            overflow=StoppingRecord("overflow", math.inf, 0.11),
+        )
+        stats = ensemble_moments([records[0], halted, records[2], records[3]], p=2.0)
+        assert stats == ensemble_moments([records[0], records[2], records[3]], p=2.0)
+        assert stats.count == 3
+        with pytest.raises(ValueError, match="no complete trajectories"):
+            ensemble_moments([halted], p=2.0)
 
     def test_mixed_configurations_rejected(self):
         a = run_trajectory(ou_cfg())

@@ -319,6 +319,16 @@ class TestNorms:
             for w, s in enumerate((0.0, 1.0, 0.5)):
                 assert math.sqrt(e[k, w]) == sobolev_norm(SpectralField(4, coeffs), s)
 
+    def test_fancy_indexed_block_energies_equal_one_state_at_a_time(self, ctx4):
+        # block[:, rows] is not C-ordered, yet each state's rows must be summed
+        # as when it is alone: a diagonal-spectral ledger reads such a block
+        block = np.stack([random_field(ctx4, seed=s).coeffs for s in (1, 2, 3)])
+        rows = np.arange(40, 0, -3)  # 14 rows, past numpy's 8-way unrolled sum
+        weights = [ctx4.lattice.power(2.0 * s)[rows] for s in (0.0, 1.0)]
+        e = energies(block[:, rows], weights)
+        for k in range(3):
+            assert e[k].tobytes() == energies(block[k, rows], weights).tobytes()
+
     def test_scalar_squares_use_the_scalar_power(self):
         # x ** 2 of a Python or numpy scalar calls the C library's pow, which
         # can differ in the last bit from the array square x * x

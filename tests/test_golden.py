@@ -1,0 +1,44 @@
+"""Output bytes against committed fixtures.
+
+Each case in tests/data/golden is a config `<case>.ini` and the directory
+`<case>/` of the files its command wrote: `series.csv` and snapshots of a
+`run`, or `traj_NNNN.csv` and `summary.csv` of a 3-member `ensemble`, one
+per noise family.  A change that alters any output byte fails here.  When a
+format change is intended, regenerate a case with
+
+    python -m leray_alpha <run|ensemble> --config tests/data/golden/<case>.ini \
+        --output tests/data/golden/<case>
+
+and say in the change which bytes moved and why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from leray_alpha.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+CASES = sorted(path.stem for path in GOLDEN.glob("*.ini"))
+
+
+def test_every_noise_family_has_a_case():
+    assert CASES == [
+        "ensemble-additive",
+        "ensemble-diagonal_spectral",
+        "ensemble-linear_multiplicative",
+        "run",
+    ]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_equal_fixtures(tmp_path, case, workers):
+    command = case.split("-")[0]
+    out = tmp_path / "out"
+    args = [command, "--config", str(GOLDEN / f"{case}.ini"), "--workers", workers, "--output", str(out)]
+    assert main(args) == EXIT_OK
+    expected = sorted(path.name for path in (GOLDEN / case).iterdir())
+    assert sorted(path.name for path in out.iterdir()) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name

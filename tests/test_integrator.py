@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -316,7 +317,7 @@ def scalar_noise(fam, c, dw, norm_l2, norm_h1):
 def scalar_reference(cfg):
     """One trajectory stepped alone with Python-scalar norms, cutoff and
     ledger: the loop the lockstep core replaced.  Returns the series and
-    increment rows, the final coefficients and whether the run completed."""
+    increment blocks, the final coefficients and whether the run completed."""
     lat, th2 = cfg.ctx.lattice, cfg.ctx.theta2
     weights = [lat.power(2.0 * s) for s in (0.0, 1.0, th2, th2 + 1.0)]
     denom = (1.0 + cfg.dt * cfg.ctx.nu * cfg.ctx.dissipation_multiplier)[:, None]
@@ -361,12 +362,16 @@ def scalar_reference(cfg):
         u = new
     steps_done = len(series[1]) - 1
     series[0] = series[0][: steps_done + 1]
-    return [np.array(row) for row in series], [np.array(row) for row in increments], u, steps_done == cfg.steps
+    return np.array(series), np.array(increments), u, steps_done == cfg.steps
+
+
+def assert_same_block(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def assert_records_equal(a, b):
-    for name in SERIES_COLUMNS + INCREMENT_COLUMNS:
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert_same_block(a.series, b.series)
+    assert_same_block(a.increments, b.increments)
     assert a.overflow == b.overflow and a.hits == b.hits
     assert a.final_field.coeffs.tobytes() == b.final_field.coeffs.tobytes()
     assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
@@ -420,8 +425,8 @@ class TestLockstepEnsembles:
         assert complete and record.complete
         assert record.chi.min() < 1.0 and record.chi.max() == 1.0  # the cutoff is crossed
         assert all(hit is not None for hit in record.hits)
-        for name, row in zip(SERIES_COLUMNS + INCREMENT_COLUMNS, series + increments):
-            assert getattr(record, name).tobytes() == row.tobytes(), name
+        assert_same_block(record.series, series)
+        assert_same_block(record.increments, increments)
         assert record.final_field.coeffs.tobytes() == final.tobytes()
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -457,6 +462,14 @@ class TestLockstepEnsembles:
         for a, b in zip(records, serial):
             assert_records_equal(a, b)
 
+    def test_chunk_with_many_driver_rows_equals_serial_runs(self):
+        # 12 driver rows: the ledger sums a member's rows past numpy's 8-way
+        # unrolled sum, in the order of a run of its own
+        noise = DiagonalSpectralNoise(*decay_modes(3, 12, 0.5, 1.0), 3)
+        cfg = replace(family_cfg(noise), snapshot_every=None)
+        for tid, record in enumerate(run_ensemble(cfg, 3, workers=1)):
+            assert_records_equal(record, run_trajectory(replace(cfg, trajectory_id=tid)))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_member_blowing_up_mid_chunk(self, workers):
         cfg = blowup_ensemble_cfg()
@@ -469,8 +482,29 @@ class TestLockstepEnsembles:
             assert_records_equal(record, alone)
             series, increments, final, complete = scalar_reference(replace(cfg, trajectory_id=tid))
             assert complete == record.complete
-            assert record.norm_l2.tobytes() == series[1].tobytes()
+            assert_same_block(record.series, series)
+            assert_same_block(record.increments, increments)
             assert record.final_field.coeffs.tobytes() == final.tobytes()
+
+
+class TestTrajectoryRecord:
+    def test_named_rows_are_the_block_rows(self):
+        record = run_trajectory(family_cfg(FAMILIES["additive"]))
+        steps = record.cfg.steps
+        assert record.series.shape == (len(SERIES_COLUMNS), steps + 1)
+        assert record.increments.shape == (len(INCREMENT_COLUMNS), steps)
+        for block, names in ((record.series, SERIES_COLUMNS), (record.increments, INCREMENT_COLUMNS)):
+            for row, name in zip(block, names):
+                assert_same_block(getattr(record, name), row)
+                assert np.shares_memory(getattr(record, name), block)
+        assert_same_block(record.norms, record.series[1:5])
+        with pytest.raises(AttributeError):
+            record.norm_l2 = record.norm_h1
+
+    def test_records_survive_pickling(self):
+        # pool results are unpickled in the parent, halted members' included
+        for record in run_ensemble(blowup_ensemble_cfg(), 6, workers=1):
+            assert_records_equal(pickle.loads(pickle.dumps(record)), record)
 
 
 class TestBatchedDraws:
@@ -524,8 +558,7 @@ class TestEnsembleSink:
             record = run_trajectory(replace(cfg, trajectory_id=tid))
             write_series_csv(record, serial)
             assert (out / name).read_bytes() == serial.read_bytes(), name
-            assert results[tid].norms.tobytes() == np.stack([record.norm_l2, record.norm_h1, record.norm_th2,
-                                                             record.norm_th2p1]).tobytes()
+            assert_same_block(results[tid].norms, record.norms)
         assert any("1" in line.split(",")[-3:] for line in (out / names[3]).read_text().splitlines()[1:])
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
