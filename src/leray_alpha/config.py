@@ -52,6 +52,7 @@ _FIELD_SECTIONS = {
     "horizon": "time",
     "snapshot_every": "time",
     "seed": "noise",
+    "noise": "noise",
     "initial": "initial",
     "cutoff_radius": "cutoff",
 }

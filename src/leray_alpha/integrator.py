@@ -26,7 +26,6 @@ import numpy as np
 
 from .fields import (
     ModelContext,
-    NonFiniteStateError,
     SpectralField,
     canonical_mode,
     energies,
@@ -35,7 +34,7 @@ from .fields import (
     scalar_squares,
     set_fft_workers,
 )
-from .nonlinear import leray_advection
+from .nonlinear import _advect_block, leray_advection  # noqa: F401  (perfbench/spans.py wraps leray_advection here)
 from .noise import NoiseFamily, WienerStream, wiener_increment  # noqa: F401  (perfbench/spans.py wraps it here)
 
 MONITOR_KINDS = ("tau_R", "rho_M", "gamma_K")
@@ -165,6 +164,9 @@ class RunConfig:
             )
         if self.seed < 0:
             raise RunConfigError("seed", "seed must be >= 0")
+        noise_n = getattr(self.noise, "n", self.ctx.n)  # the mode families are built for one truncation
+        if noise_n != self.ctx.n:
+            raise RunConfigError("noise", f"noise truncation n={noise_n} does not match the model n={self.ctx.n}")
         mode = self.initial.mode
         if mode is not None and max(abs(c) for c in mode) > self.ctx.n:
             raise RunConfigError("initial", f"initial mode {tuple(mode)} lies outside the truncation n={self.ctx.n}")
@@ -234,7 +236,7 @@ def _named_rows(cls):
 
 
 @_named_rows
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     """One sample path: the series block (len(SERIES_COLUMNS), len(t)) of
     norms and cumulative integrals at the grid times, the increment block
@@ -280,10 +282,11 @@ class _StepCore:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        lat = cfg.ctx.lattice
+        self.lattice = lat = cfg.ctx.lattice
         th2 = cfg.ctx.theta2
         self.denom = (1.0 + cfg.dt * cfg.ctx.nu * cfg.ctx.dissipation_multiplier)[:, None]
         self.sqrt_dt = math.sqrt(cfg.dt)
+        self.filter = cfg.ctx.filter_multiplier[:, None]
         # |k|^{2s} for s = 0, 1, theta2, theta2 + 1
         self.weights = [lat.power(2.0 * s) for s in (0.0, 1.0, th2, th2 + 1.0)]
 
@@ -291,14 +294,6 @@ class _StepCore:
         """||u||_0, ||u||_1, ||u||_theta2, ||u||_{theta2+1} of coefficients
         (..., M, 3), along a last axis of length 4."""
         return np.sqrt(energies(coeffs, self.weights))
-
-    def advection(self, coeffs: np.ndarray) -> np.ndarray:
-        """B(Gu, u) of one state, or nan where it is not finite: the new
-        state and its norms then are not finite either."""
-        try:
-            return leray_advection(SpectralField(self.cfg.ctx.n, coeffs), self.cfg.ctx).coeffs
-        except NonFiniteStateError:
-            return np.full_like(coeffs, np.nan)
 
     def increments(self, streams: list[WienerStream], step_index: int) -> np.ndarray:
         """The step's Wiener increments of K streams as one (K, dim) block:
@@ -319,9 +314,9 @@ class _StepCore:
         at grid steps (m, m + 1): column 0 is read, and column 1 gets the new
         norms and cumulative integrals (its t is left alone).  inc (K,
         len(INCREMENT_COLUMNS)) gets the step's ledger increments.  Returns
-        the new states and a (K,) mask of the members whose advection, new
-        state and norms are finite; the rows and increments of the others
-        hold garbage.
+        the new states and a (K,) mask of the members whose new norms are
+        finite (an advection that overflows makes them non-finite); the rows
+        and increments of the others hold garbage.
 
         The cutoff, the advection and the Gaussian draws are made per member
         (scalar math.exp, one product-grid transform per state, one Philox key
@@ -335,7 +330,8 @@ class _StepCore:
         else:
             chi = np.array([smooth_cutoff(x, cfg.cutoff_radius) for x in h1[:, 0].tolist()])
         with np.errstate(over="ignore", invalid="ignore"):
-            bconv = np.stack([self.advection(coeffs) for coeffs in u]) if cfg.nonlinear else None
+            # B(Gu, u), with helmholtz_filter's product for Gu
+            bconv = _advect_block(self.lattice, u * self.filter, u) if cfg.nonlinear else None
             dw = self.increments(streams, step_index)
             gw = cfg.noise._apply_block(u, dw)
             new = u + chi[:, None, None] * gw

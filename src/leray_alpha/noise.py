@@ -141,6 +141,8 @@ class NoiseFamily:
 
 
 def _normalize_modes(modes, sigmas, n: int):
+    if len(modes) == 0:
+        raise ValueError("need at least one noise mode")
     canon = []
     for k in modes:
         k = canonical_mode(tuple(k))
@@ -297,6 +299,8 @@ def decay_modes(n: int, driver_dim: int, sigma: float, gamma: float):
     law sigma_j = sigma * |k_j|^{-gamma}."""
     lat = lattice(n)
     order = np.argsort(lat.k_sq, kind="stable")  # ties keep the lattice's lex order
+    if driver_dim < 1:
+        raise ValueError(f"driver_dim must be >= 1, got {driver_dim}")
     if driver_dim > lat.size:
         raise ValueError(f"driver_dim {driver_dim} exceeds the {lat.size} stored modes")
     modes = [tuple(int(c) for c in lat.wavevectors[i]) for i in order[:driver_dim]]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import (
+    Lattice,
     ModelContext,
     SpectralField,
     _check_same_truncation,
@@ -24,12 +25,6 @@ from .fields import (
 _DIV_FREE_TOL = 1e-8
 
 
-def _require_div_free(u: SpectralField, who: str) -> None:
-    defect = u.divergence_defect()
-    if defect > _DIV_FREE_TOL:
-        raise ValueError(f"{who} must be divergence-free (defect {defect:.3e})")
-
-
 def _advective_products(physical: np.ndarray, out: np.ndarray) -> None:
     """(u . grad) v_j = sum_m u_m d_m v_j from the physical velocity and
     derivative fields."""
@@ -39,6 +34,27 @@ def _advective_products(physical: np.ndarray, out: np.ndarray) -> None:
         out[j] += physical[2] * physical[9 + j]
 
 
+def _advect_block(lat: Lattice, a: np.ndarray, v: np.ndarray, project: bool = True) -> np.ndarray:
+    """B(a_k, v_k) of coefficient blocks (K, M, 3), one product-grid
+    transform per member.  Unchecked: a_k must be divergence-free, and a
+    member whose products overflow gets non-finite rows instead of an error."""
+    grid = lat.product_grid()
+    # 3 velocity rows + 9 derivative rows i k_m v_j
+    stack = np.empty((12, grid.k_rows.shape[1]), dtype=np.complex128)
+    derivatives = stack[3:12].reshape(3, 3, -1)
+    # stacked at the end, so no output block is held through the transforms
+    members = []
+    for a_k, v_k in zip(a, v):
+        stack[0:3] = lat.spectral_rows(a_k)
+        np.multiply(lat.spectral_rows(v_k), grid.k_rows[:, None, :], out=derivatives)
+        derivatives *= 1j
+        coeffs = grid.transform(stack, _advective_products)
+        if project:
+            lat.project(coeffs)
+        members.append(coeffs)
+    return np.stack(members)
+
+
 def advect(u: SpectralField, v: SpectralField, ctx: ModelContext, *, project: bool = True) -> SpectralField:
     """B(u, v): advect v by the divergence-free velocity u and project back
     onto the divergence-free truncated lattice.  project=False returns the
@@ -46,19 +62,10 @@ def advect(u: SpectralField, v: SpectralField, ctx: ModelContext, *, project: bo
     _check_same_truncation(u, v)
     if u.n != ctx.n:
         raise ValueError(f"truncation mismatch: fields n={u.n}, context n={ctx.n}")
-    _require_div_free(u, "the advecting field")
-    lat = ctx.lattice
-    grid = lat.product_grid()
-    # 3 velocity rows + 9 derivative rows i k_m v_j
-    stack = np.empty((12, grid.k_rows.shape[1]), dtype=np.complex128)
-    stack[0:3] = lat.spectral_rows(u.coeffs)
-    derivatives = stack[3:12].reshape(3, 3, -1)
-    np.multiply(lat.spectral_rows(v.coeffs), grid.k_rows[:, None, :], out=derivatives)
-    derivatives *= 1j
-    coeffs = grid.transform(stack, _advective_products)
-    if project:
-        lat.project(coeffs)
-    return SpectralField(ctx.n, coeffs)
+    defect = u.divergence_defect()
+    if defect > _DIV_FREE_TOL:
+        raise ValueError(f"the advecting field must be divergence-free (defect {defect:.3e})")
+    return SpectralField(ctx.n, _advect_block(ctx.lattice, u.coeffs[None], v.coeffs[None], project)[0])
 
 
 def leray_advection(u: SpectralField, ctx: ModelContext) -> SpectralField:

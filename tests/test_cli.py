@@ -157,6 +157,16 @@ def test_initial_mode_error_exit_code(tmp_path, capsys, command, initial):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("driver_dim", ["0", "-1"])
+def test_empty_or_negative_driver_set_exit_code(tmp_path, capsys, driver_dim):
+    cfg = tmp_path / "bad.ini"
+    decay_law = f"family = diagonal_spectral\nsigma = 0.5\ngamma = 1.0\ndriver_dim = {driver_dim}"
+    cfg.write_text(DECAY_CFG.replace("family = linear_multiplicative\nsigma = 0.0", decay_law))
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"[noise] driver_dim must be >= 1, got {driver_dim}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_negative_initial_seed_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(ENSEMBLE_CFG.replace("kind = random\nseed = 1", "kind = random\nseed = -1"))

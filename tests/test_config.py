@@ -149,6 +149,17 @@ def test_noise_family_required_fields():
         parse_config(text)
 
 
+@pytest.mark.parametrize("family", ["additive", "diagonal_spectral"])
+@pytest.mark.parametrize("driver_dim", [0, -1])
+def test_empty_or_negative_driver_set_rejected(family, driver_dim):
+    text = MINIMAL.replace(
+        "family = linear_multiplicative\nsigma = 0.1",
+        f"family = {family}\nsigma = 0.5\ngamma = 1.0\ndriver_dim = {driver_dim}",
+    )
+    with pytest.raises(ConfigError, match=rf"^\[noise\] driver_dim must be >= 1, got {driver_dim}$"):
+        parse_config(text)
+
+
 def test_noise_mode_outside_truncation():
     text = MINIMAL.replace(
         "family = linear_multiplicative\nsigma = 0.1",

@@ -1,5 +1,6 @@
 """Semi-implicit scheme, cutoff profile, stopping monitors, ensembles."""
 
+import itertools
 import math
 import os
 import pickle
@@ -25,10 +26,16 @@ from leray_alpha import (
     sobolev_norm,
     step,
 )
-from leray_alpha import integrator
+from leray_alpha import fields, integrator, nonlinear
 from leray_alpha.fields import NonFiniteStateError, lattice, polarization
 from leray_alpha.diagnostics import NormSeries, ensemble_moments
-from leray_alpha.integrator import INCREMENT_COLUMNS, SERIES_COLUMNS, initial_state
+from leray_alpha.integrator import (
+    INCREMENT_COLUMNS,
+    SERIES_COLUMNS,
+    RunConfigError,
+    StoppingRecord,
+    initial_state,
+)
 from leray_alpha.nonlinear import leray_advection
 from leray_alpha.noise import WienerStream, decay_modes, wiener_increment
 from leray_alpha.output import TrajectoryCsvSink, write_series_csv, write_summary_csv
@@ -486,6 +493,39 @@ class TestLockstepEnsembles:
             assert_same_block(record.increments, increments)
             assert record.final_field.coeffs.tobytes() == final.tobytes()
 
+    def test_member_whose_advection_overflows_halts_alone(self, monkeypatch):
+        # one advection per member and step, in member order, and one
+        # product callback per x-slab of the product grid in each: member 1's
+        # products overflow during step 7 of a 3-member chunk
+        cfg = replace(family_cfg(FAMILIES["additive"]), snapshot_every=0.02)
+        step_index, member, size = 7, 1, 3
+        clean = run_ensemble(cfg, size, workers=1)
+        slabs = -(-cfg.ctx.lattice.product_ng // fields._SLAB_DEPTH)
+        first = (step_index * size + member) * slabs
+        products = nonlinear._advective_products
+        calls = itertools.count()
+
+        def overflowing(physical, out):
+            products(physical, out)
+            if first <= next(calls) < first + slabs:
+                out *= 1e300
+                out *= 1e300
+
+        monkeypatch.setattr(nonlinear, "_advective_products", overflowing)
+        records = run_ensemble(cfg, size, workers=1)
+        advections = (step_index + 1) * size + (cfg.steps - step_index - 1) * (size - 1)
+        assert next(calls) == advections * slabs
+        halted, alone = records[member], clean[member]
+        assert halted.overflow == StoppingRecord("overflow", math.inf, alone.t[step_index + 1])
+        assert_same_block(halted.series, alone.series[:, : step_index + 1])
+        assert_same_block(halted.increments, alone.increments[:, :step_index])
+        assert [t for t, _ in halted.snapshots] == [t for t, _ in alone.snapshots[: step_index + 1]]
+        for (_, a), (_, b) in zip(halted.snapshots, alone.snapshots):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        assert halted.final_field.coeffs.tobytes() == alone.snapshots[step_index][1].coeffs.tobytes()
+        for other in (0, 2):
+            assert_records_equal(records[other], clean[other])
+
 
 class TestTrajectoryRecord:
     def test_named_rows_are_the_block_rows(self):
@@ -500,6 +540,12 @@ class TestTrajectoryRecord:
         assert_same_block(record.norms, record.series[1:5])
         with pytest.raises(AttributeError):
             record.norm_l2 = record.norm_h1
+
+    def test_records_compare_and_hash_by_identity(self):
+        cfg = linear_cfg(horizon=0.01, dt=0.005)
+        a, b = run_trajectory(cfg), run_trajectory(cfg)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, a, b}) == 2
 
     def test_records_survive_pickling(self):
         # pool results are unpickled in the parent, halted members' included
@@ -611,7 +657,7 @@ class TestEnsembleSink:
         )
         assert [c.size for c in integrator._chunks(ou, 64, 2)] == [32, 32]
         assert [c.size for c in integrator._chunks(ou, 200, 1)] == [66, 67, 67]
-        big = replace(ou, ctx=replace(ou.ctx, n=16), horizon=0.5)
+        big = replace(ou, ctx=replace(ou.ctx, n=16), noise=LinearMultiplicativeNoise(0.1), horizon=0.5)
         assert [c.size for c in integrator._chunks(big, 4, 2)] == [2, 2]
         assert [c.size for c in integrator._chunks(big, 8, 1)] == [4, 4]
         assert [c.size for c in integrator._chunks(replace(big, ctx=replace(ou.ctx, n=24)), 2, 1)] == [1, 1]
@@ -735,6 +781,15 @@ class TestConfigValidation:
     def test_cutoff_radius_positive(self):
         with pytest.raises(ValueError, match="cutoff"):
             linear_cfg(cutoff_radius=-1.0)
+
+    @pytest.mark.parametrize("family", [AdditiveNoise, DiagonalSpectralNoise])
+    def test_noise_of_another_truncation_rejected(self, family):
+        # an n = 2 family's rows are other modes of an n = 4 block
+        with pytest.raises(RunConfigError, match="noise truncation n=2 does not match the model n=4") as caught:
+            linear_cfg(ctx=ModelContext(nu=0.1, alpha=1.0, theta1=1.0, theta2=1.0, n=4),
+                       noise=family(((1, 0, 0),), (1.0,), 2))
+        assert caught.value.field == "noise"
+        linear_cfg(noise=family(((1, 0, 0),), (1.0,), 2))  # n = 2 on both sides
 
     def test_cutoff_freezes_large_states(self):
         # R far below the state norm: chi = 0, so only dissipation acts

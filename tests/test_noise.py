@@ -148,6 +148,11 @@ class TestFamilies:
         with pytest.raises(ValueError, match="outside the truncation"):
             AdditiveNoise(((0, 0, 9),), (1.0,), 4)
 
+    @pytest.mark.parametrize("family", [AdditiveNoise, DiagonalSpectralNoise])
+    def test_empty_mode_list_rejected(self, family):
+        with pytest.raises(ValueError, match="need at least one noise mode"):
+            family((), (), 4)
+
     def test_duplicate_modes_after_canonicalisation_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             AdditiveNoise(((0, 0, 1), (0, 0, -1)), (1.0, 1.0), 4)
@@ -214,6 +219,11 @@ class TestHilbertSchmidtNorms:
             e[j] = 1.0
             total += sobolev_norm(fam.apply(self.u, WienerIncrement(1.0, e)), 0.0) ** 2
         assert fam.hs_norm_sq(self.u, 0.0) == pytest.approx(total, rel=1e-12)
+
+    @pytest.mark.parametrize("driver_dim", [0, -1])
+    def test_decay_law_needs_a_driver(self, driver_dim):
+        with pytest.raises(ValueError, match=f"driver_dim must be >= 1, got {driver_dim}"):
+            decay_modes(2, driver_dim, sigma=0.5, gamma=1.0)
 
     def test_decay_law_modes(self):
         modes, sigmas = decay_modes(4, 5, sigma=0.5, gamma=2.0)
