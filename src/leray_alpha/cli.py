@@ -26,6 +26,7 @@ from .noise import audit_hypotheses
 from .output import (
     TrajectoryCsvSink,
     remove_incomplete_marker,
+    remove_stale_trajectory_csvs,
     write_incomplete_marker,
     write_regime_csv,
     write_series_csv,
@@ -82,6 +83,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     parsed = _load(args)
     outdir = _output_dir(args, parsed)
     remove_incomplete_marker(outdir)
+    for stale in outdir.glob("snapshot_*.snap"):  # this run writes its own
+        stale.unlink()
     set_fft_workers(default_fft_workers())
     record = run_trajectory(parsed.run)
     write_series_csv(record, outdir / "series.csv")
@@ -98,6 +101,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     parsed = _load(args)
     outdir = _output_dir(args, parsed)
     remove_incomplete_marker(outdir)
+    remove_stale_trajectory_csvs(outdir, parsed.ensemble_size)
     cfg = replace(parsed.run, snapshot_every=None)
     if parsed.workers <= 1:
         set_fft_workers(default_fft_workers())

@@ -116,9 +116,9 @@ class _ProductGrid:
     along y on the kept bands.  That is the axis order pocketfft uses inside
     irfftn and rfftn, so every 1-D line that is transformed sees the same
     input as on the full grid, the skipped lines are all-zero, and the result
-    is bitwise equal to the _GridPlan path.  The zero bands of the persistent
-    buffers are never written, so nothing is zeroed per call; the buffers are
-    reused across calls, so one instance must not be used from two threads.
+    is bitwise equal to the _GridPlan path.  The c2c stages run in place on
+    persistent buffers, so each call re-zeroes the cells of the x stage that
+    no row covers, and one instance must not be used from two threads.
     """
 
     def __init__(self, lat: "Lattice"):
@@ -138,7 +138,6 @@ class _ProductGrid:
         # rfftn's norm="forward" factor, which pocketfft rounds from long double
         self.scale = float(np.longdouble(1) / np.longdouble(ng**3))
         self.block = np.zeros((_PRODUCT_FIELDS, ng, 2 * n + 1, n + 1), dtype=np.complex128)
-        self.y_padded = np.zeros((_PRODUCT_FIELDS, _SLAB_DEPTH, ng, n + 1), dtype=np.complex128)
         self.z_padded = np.zeros((_PRODUCT_FIELDS, _SLAB_DEPTH, ng, ng // 2 + 1), dtype=np.complex128)
         self.products = np.empty((3, _SLAB_DEPTH, ng, ng))
         self.forward = np.empty((3, ng, ng, n + 1), dtype=np.complex128)
@@ -152,24 +151,25 @@ class _ProductGrid:
         n, ng = self.n, self.ng
         fields = len(stack)
         block = self.block[:fields]
-        flat = block.reshape(fields, -1)
-        for f in range(fields):
-            flat[f][self.idx_block] = stack[f]
-        by_x = sfft.ifft(block, axis=1, norm="forward", workers=_FFT_WORKERS)
+        block[:, n + 1 : ng - n] = block[:, 0, 0, 0] = 0
+        block.reshape(fields, -1)[:, self.idx_block] = stack
+        # overwrite_x=True: scipy's pocketfft backend passes the input as out (scipy >= 1.4)
+        by_x = sfft.ifft(block, axis=1, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
         for x0 in range(0, ng, _SLAB_DEPTH):
             x1 = min(ng, x0 + _SLAB_DEPTH)
-            y_padded = self.y_padded[:fields, : x1 - x0]
-            y_padded[:, :, : n + 1] = by_x[:, x0:x1, : n + 1]
-            y_padded[:, :, ng - n :] = by_x[:, x0:x1, n + 1 :]
             z_padded = self.z_padded[:fields, : x1 - x0]
-            z_padded[..., : n + 1] = sfft.ifft(y_padded, axis=2, norm="forward", workers=_FFT_WORKERS)
+            kz_band = z_padded[..., : n + 1]
+            kz_band[:, :, : n + 1] = by_x[:, x0:x1, : n + 1]
+            kz_band[:, :, n + 1 : ng - n] = 0
+            kz_band[:, :, ng - n :] = by_x[:, x0:x1, n + 1 :]
+            sfft.ifft(kz_band, axis=2, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
             physical = sfft.irfft(z_padded, n=ng, axis=3, norm="forward", workers=_FFT_WORKERS)
             products = self.products[:, : x1 - x0]
             combine(physical, products)
             self.forward[:, x0:x1] = sfft.rfft(products, axis=3, workers=_FFT_WORKERS)[..., : n + 1]
         self.forward.view(float)[...] *= self.scale
-        x_band = sfft.fft(self.forward, axis=1, workers=_FFT_WORKERS)[:, self.x_band]
-        spectrum = sfft.fft(x_band, axis=2, workers=_FFT_WORKERS)
+        sfft.fft(self.forward, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
+        spectrum = sfft.fft(self.forward[:, self.x_band], axis=2, overwrite_x=True, workers=_FFT_WORKERS)
         return np.ascontiguousarray(spectrum.reshape(3, -1)[:, self.idx_gather].T)
 
 

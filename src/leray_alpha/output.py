@@ -5,12 +5,13 @@ are byte-identical for identical runs regardless of worker count.
 
 from __future__ import annotations
 
-import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .diagnostics import EnsembleStats, NormSeries, RegimeVerdict
 from .integrator import TrajectoryRecord
+from .snapshots import write_atomically
 
 INCOMPLETE_MARKER = "INCOMPLETE"
 
@@ -33,8 +34,7 @@ SERIES_HEADER = (
 
 
 def write_series_csv(record: TrajectoryRecord, path: str | Path) -> None:
-    """Write the record's series to path through a temporary file in the
-    same directory, so a file at path is always complete."""
+    """Write the record's series to path; a file at path is always complete."""
     lines = [",".join([*SERIES_HEADER, *(f"flag_{mon.kind}" for mon in record.cfg.monitors)])]
     # repr of the Python floats that tolist() gives is _fmt of each value
     lines += [",".join(map(repr, row)) for row in record.series.T.tolist()]
@@ -42,13 +42,8 @@ def write_series_csv(record: TrajectoryRecord, path: str | Path) -> None:
     if hits:
         for i, t in enumerate(record.t.tolist(), start=1):
             lines[i] += "".join(",1" if hit is not None and t >= hit else ",0" for hit in hits)
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        partial.write_text("\n".join(lines) + "\n")
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+    text = "\n".join(lines) + "\n"
+    write_atomically(path, lambda partial: partial.write_text(text))
 
 
 @dataclass(frozen=True)
@@ -64,6 +59,15 @@ class TrajectoryCsvSink:
             write_series_csv(record, self.directory / f"traj_{record.trajectory_id:04d}.csv")
         # a copy, so that only the norm rows outlive the chunk's blocks
         return [NormSeries(record.cfg, record.norms.copy(), record.complete) for record in records]
+
+
+def remove_stale_trajectory_csvs(directory: Path, size: int) -> None:
+    """Drop the traj_NNNN.csv files of ids >= size, which an earlier, larger
+    ensemble left in directory; the ids below size are rewritten."""
+    for path in directory.glob("traj_*.csv"):
+        match = re.fullmatch(r"traj_(\d+)\.csv", path.name)
+        if match and int(match[1]) >= size:
+            path.unlink()
 
 
 def write_summary_csv(stats: EnsembleStats, path: str | Path) -> None:

@@ -14,7 +14,9 @@ Round trips are bit-exact.
 
 from __future__ import annotations
 
+import os
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,12 +55,24 @@ class SnapshotMeta:
     t: float
 
 
+def write_atomically(path: str | Path, write: Callable[[Path], object]) -> None:
+    """Call write on a temporary path in the same directory, then rename it
+    to path, so a file at path is always complete."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(partial)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -> None:
     if meta.n != field.n:
         raise ValueError(f"meta truncation n={meta.n} does not match field n={field.n}")
     header = _HEADER.pack(MAGIC, VERSION, meta.n, meta.nu, meta.alpha, meta.theta1, meta.theta2, meta.t)
     payload = np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes()
-    Path(path).write_bytes(header + payload)
+    write_atomically(path, lambda partial: partial.write_bytes(header + payload))
 
 
 def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:

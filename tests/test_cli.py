@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -346,3 +347,31 @@ def test_no_complete_member_writes_no_summary(tmp_path):
     assert (out / "INCOMPLETE").read_text() == (
         "numerical blow-up in trajectories: 0, 1; no trajectory completed, so there is no summary.csv\n"
     )
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def test_smaller_ensemble_deletes_the_larger_ones_trajectories(tmp_path):
+    text = (GOLDEN / "ensemble-additive.ini").read_text()
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "traj_notes.csv").write_text("not a trajectory\n")
+    for size in (3, 1):
+        cfg = tmp_path / f"size{size}.ini"
+        cfg.write_text(text.replace("size = 3", f"size = {size}"))
+        assert main(["ensemble", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "traj_0000.csv", "traj_notes.csv"]
+    assert (out / "traj_0000.csv").read_bytes() == (GOLDEN / "ensemble-additive" / "traj_0000.csv").read_bytes()
+
+
+def test_shorter_run_deletes_the_longer_ones_snapshots(tmp_path):
+    text = (GOLDEN / "run.ini").read_text()
+    out = tmp_path / "out"
+    for horizon in ("0.2", "0.08"):
+        cfg = tmp_path / f"T{horizon}.ini"
+        cfg.write_text(text.replace("T = 0.2", f"T = {horizon}"))
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["series.csv", "snapshot_00000000.snap", "snapshot_00000004.snap"]
+    _, rows = read_csv(out / "series.csv")
+    assert len(rows) == 5

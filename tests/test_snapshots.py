@@ -75,3 +75,18 @@ def test_meta_field_mismatch_rejected(snap):
     wrong = SnapshotMeta(n=4, nu=1.0, alpha=1.0, theta1=0.0, theta2=1.0, t=0.0)
     with pytest.raises(ValueError, match="does not match"):
         write_snapshot(field, wrong, "/tmp/never-written.snap")
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    ctx = ModelContext(nu=0.7, alpha=1.2, theta1=0.25, theta2=1.25, n=3)
+    meta = SnapshotMeta(n=3, nu=0.7, alpha=1.2, theta1=0.25, theta2=1.25, t=0.375)
+
+    def fail(self, data):
+        with self.open("wb") as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(type(tmp_path), "write_bytes", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_snapshot(random_field(ctx, seed=9), meta, tmp_path / "state.snap")
+    assert list(tmp_path.iterdir()) == []
