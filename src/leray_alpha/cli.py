@@ -10,6 +10,7 @@ suite).  Exit codes: 0 success, 2 configuration error, 3 numerical blow-up,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -128,6 +129,17 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _moment_order(text: str) -> float:
+    """--moment: a finite order p >= 2, checked before anything runs."""
+    try:
+        p = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(p) and p >= 2):
+        raise argparse.ArgumentTypeError(f"the moment order must be finite and >= 2, got {text!r}")
+    return p
+
+
 def _parse_axis(spec: str, name: str) -> list[float]:
     spec = spec.strip()
     try:
@@ -200,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ens = sub.add_parser("ensemble", help="run an ensemble, write per-trajectory CSVs + summary")
     add_common(p_ens)
-    p_ens.add_argument("--moment", type=float, default=2.0, help="moment order p for the summary")
+    p_ens.add_argument("--moment", type=_moment_order, default=2.0, help="moment order p >= 2 for the summary")
     p_ens.set_defaults(func=_cmd_ensemble)
 
     p_cls = sub.add_parser("classify", help="tabulate solvability regimes over a parameter grid")

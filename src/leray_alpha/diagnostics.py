@@ -130,8 +130,8 @@ def ensemble_moments(records: list[TrajectoryRecord] | list[NormSeries], p: floa
     the count: a halted one has no values at the later grid times."""
     if not records:
         raise ValueError("no records")
-    if p < 2:
-        raise ValueError("moment order p must be >= 2")
+    if not (math.isfinite(p) and p >= 2):
+        raise ValueError("moment order p must be finite and >= 2")
     key = records[0].cfg.ensemble_key()
     for rec in records[1:]:
         if rec.cfg.ensemble_key() != key:

@@ -13,16 +13,20 @@ dx/(2pi)^3 so that the p = 2 case coincides with the lattice sum.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
-# Threads handed to scipy.fft batch transforms.  pocketfft splits work over
-# the batch axis only, so results are bitwise identical for any setting.
+# Threads of one product-grid transform (from n = 15 on, see
+# _THREADED_MIN_NG).  numpy.fft runs each call on the calling thread, so the
+# transform starts and joins its own threads per call (see _split); every
+# split is along an axis that is not being transformed, so each 1-D line
+# sees the same input and the bytes are the same for any setting.
 _FFT_WORKERS = 1
 
 
@@ -37,6 +41,44 @@ def get_fft_workers() -> int:
 
 def default_fft_workers() -> int:
     return min(2, os.cpu_count() or 1)
+
+
+def _split(threads: int, count: int, work) -> None:
+    """work(part, start, stop) over range(count) in up to `threads`
+    contiguous parts.  Part 0 runs on this thread; the others run on threads
+    started and joined here, so none outlives the call (a later fork copies
+    no kernel thread).  Each runs under a copy of the caller's context,
+    which holds numpy's errstate."""
+    parts = min(threads, count)
+    bounds = [count * i // parts for i in range(parts + 1)]
+    errors = []
+
+    def run(part: int) -> None:
+        try:
+            work(part, bounds[part], bounds[part + 1])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    others = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, part)) for part in range(1, parts)
+    ]
+    for thread in others:
+        thread.start()
+    try:
+        work(0, bounds[0], bounds[1])
+    finally:
+        for thread in others:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _forward_scale(ng: int) -> float:
+    """The norm="forward" factor of a 3-D r2c on ng^3 points as pocketfft's
+    multi-axis r2c applies it: once, after the transform along z, rounded
+    from long double.  numpy.fft.rfftn scales per axis instead, which
+    differs in the last bit."""
+    return float(np.longdouble(1) / np.longdouble(ng**3))
 
 
 def next_fft_size(m: int) -> int:
@@ -71,6 +113,7 @@ class _GridPlan:
         self.kx = line.reshape(ng, 1, 1)
         self.ky = line.reshape(1, ng, 1)
         self.kz = np.arange(ng // 2 + 1, dtype=float).reshape(1, 1, ng // 2 + 1)
+        self.scale = _forward_scale(ng)
 
     def scatter(self, coeffs: np.ndarray) -> np.ndarray:
         """Place half-lattice coefficients (M, 3) into a (3, *half_shape)
@@ -85,16 +128,16 @@ class _GridPlan:
         return np.ascontiguousarray(spectrum.reshape(3, -1)[:, self.idx_rows[: self.lattice.size]].T)
 
     def to_physical(self, spectrum: np.ndarray) -> np.ndarray:
-        return sfft.irfftn(
-            spectrum,
-            s=(self.ng,) * 3,
-            axes=(-3, -2, -1),
-            norm="forward",
-            workers=_FFT_WORKERS,
-        )
+        return np.fft.irfftn(spectrum, s=(self.ng,) * 3, axes=(-3, -2, -1), norm="forward")
 
     def to_spectrum(self, values: np.ndarray) -> np.ndarray:
-        return sfft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
+        """rfftn(values, norm="forward") over the last three axes, in
+        pocketfft's multi-axis order: r2c along z, the scale, then c2c along
+        x and along y."""
+        spectrum = np.fft.rfft(values, axis=-1)
+        spectrum.view(float)[...] *= self.scale
+        np.fft.fft(spectrum, axis=-3, out=spectrum)
+        return np.fft.fft(spectrum, axis=-2, out=spectrum)
 
 
 # x-planes of the product grid carried from the inverse to the forward
@@ -102,6 +145,10 @@ class _GridPlan:
 _SLAB_DEPTH = 5
 # fields one product-grid transform takes: advect's velocity and 9 derivatives
 _PRODUCT_FIELDS = 12
+# smaller product grids (n < 15) run on one thread: starting threads and
+# passing the GIL between them cost more than the split saves there (n = 8:
+# 2.7 ms a call on one thread, 3.3 ms on two)
+_THREADED_MIN_NG = 48
 
 
 class _ProductGrid:
@@ -116,9 +163,16 @@ class _ProductGrid:
     along y on the kept bands.  That is the axis order pocketfft uses inside
     irfftn and rfftn, so every 1-D line that is transformed sees the same
     input as on the full grid, the skipped lines are all-zero, and the result
-    is bitwise equal to the _GridPlan path.  The c2c stages run in place on
-    persistent buffers, so each call re-zeroes the cells of the x stage that
-    no row covers, and one instance must not be used from two threads.
+    is bitwise equal to the _GridPlan path.
+
+    A slab's grids are (fields, ng, planes, ...), y before the x-planes, and
+    the forward y stage is (ng, 3, 2n + 1, n + 1): numpy.fft then runs each
+    stage in one loop per field at most, and the c2r zero-pads kz > n
+    itself.  The x stage and the forward stages are split over the threads
+    by field, and the slab loop by slab, each thread on its own slab
+    buffers.  The c2c stages run in place on persistent buffers, so each
+    call re-zeroes the cells that no row covers, and one instance must not
+    be used by two callers at once.
     """
 
     def __init__(self, lat: "Lattice"):
@@ -131,46 +185,69 @@ class _ProductGrid:
             (np.mod(rows[:, 0], ng), np.mod(rows[:, 1], 2 * n + 1), rows[:, 2]), (ng, 2 * n + 1, n + 1)
         )
         k = lat.wavevectors
-        self.idx_gather = np.ravel_multi_index(
-            (np.mod(k[:, 0], 2 * n + 1), np.mod(k[:, 1], ng), k[:, 2]), (2 * n + 1, ng, n + 1)
-        )
+        # (ky, kx, kz) of the lattice in the forward y stage
+        self.idx_gather = (np.mod(k[:, 1], ng), np.mod(k[:, 0], 2 * n + 1), k[:, 2])
         self.x_band = np.r_[0 : n + 1, ng - n : ng]
-        # rfftn's norm="forward" factor, which pocketfft rounds from long double
-        self.scale = float(np.longdouble(1) / np.longdouble(ng**3))
+        self.scale = _forward_scale(ng)
         self.block = np.zeros((_PRODUCT_FIELDS, ng, 2 * n + 1, n + 1), dtype=np.complex128)
-        self.z_padded = np.zeros((_PRODUCT_FIELDS, _SLAB_DEPTH, ng, ng // 2 + 1), dtype=np.complex128)
-        self.products = np.empty((3, _SLAB_DEPTH, ng, ng))
         self.forward = np.empty((3, ng, ng, n + 1), dtype=np.complex128)
+        # per thread of the slab loop: the y stage, physical, products, r2c output
+        self.slab_buffers: list[tuple[np.ndarray, ...]] = []
+
+    def _slab_pass(self, by_x: np.ndarray, combine, buffers: tuple, start: int, stop: int) -> None:
+        """Slabs start..stop-1 of the slab loop, from the x-transformed block
+        into their x-planes of self.forward."""
+        n, ng = self.n, self.ng
+        fields = len(by_x)
+        for x0 in range(start * _SLAB_DEPTH, min(ng, stop * _SLAB_DEPTH), _SLAB_DEPTH):
+            x1 = min(ng, x0 + _SLAB_DEPTH)
+            by_y, physical, products, half = (
+                buf[: rows * ng * (x1 - x0) * cols].reshape(rows, ng, x1 - x0, cols)
+                for buf, rows, cols in zip(buffers, (fields, fields, 3, 3), (n + 1, ng, ng, ng // 2 + 1))
+            )
+            slab = by_x[:, x0:x1].transpose(0, 2, 1, 3)
+            by_y[:, : n + 1] = slab[:, : n + 1]
+            by_y[:, n + 1 : ng - n] = 0
+            by_y[:, ng - n :] = slab[:, n + 1 :]
+            np.fft.ifft(by_y, axis=1, norm="forward", out=by_y)
+            np.fft.irfft(by_y, n=ng, axis=3, norm="forward", out=physical)
+            combine(physical, products)
+            np.fft.rfft(products, axis=3, out=half)
+            kept = half[..., : n + 1].view(float).transpose(0, 2, 1, 3)
+            np.multiply(kept, self.scale, out=self.forward[:, x0:x1].view(float))
 
     def transform(self, stack: np.ndarray, combine) -> np.ndarray:
         """Half-lattice coefficients (M, 3) of the truncated spectrum of three
         physical products.  stack holds spectral rows as made by
         Lattice.spectral_rows();
-        combine(physical, out) writes the three products of one x-slab of the
-        stack's fields, (fields, planes, ng, ng), into out (3, planes, ng, ng)."""
+        combine(physical, out) writes the three pointwise products of the
+        stack's fields on one slab, physical (fields, ...), into out (3, ...)
+        of the same grid shape."""
         n, ng = self.n, self.ng
+        threads = _FFT_WORKERS if ng >= _THREADED_MIN_NG else 1
         fields = len(stack)
         block = self.block[:fields]
         block[:, n + 1 : ng - n] = block[:, 0, 0, 0] = 0
         block.reshape(fields, -1)[:, self.idx_block] = stack
-        # overwrite_x=True: scipy's pocketfft backend passes the input as out (scipy >= 1.4)
-        by_x = sfft.ifft(block, axis=1, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
-        for x0 in range(0, ng, _SLAB_DEPTH):
-            x1 = min(ng, x0 + _SLAB_DEPTH)
-            z_padded = self.z_padded[:fields, : x1 - x0]
-            kz_band = z_padded[..., : n + 1]
-            kz_band[:, :, : n + 1] = by_x[:, x0:x1, : n + 1]
-            kz_band[:, :, n + 1 : ng - n] = 0
-            kz_band[:, :, ng - n :] = by_x[:, x0:x1, n + 1 :]
-            sfft.ifft(kz_band, axis=2, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
-            physical = sfft.irfft(z_padded, n=ng, axis=3, norm="forward", workers=_FFT_WORKERS)
-            products = self.products[:, : x1 - x0]
-            combine(physical, products)
-            self.forward[:, x0:x1] = sfft.rfft(products, axis=3, workers=_FFT_WORKERS)[..., : n + 1]
-        self.forward.view(float)[...] *= self.scale
-        sfft.fft(self.forward, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
-        spectrum = sfft.fft(self.forward[:, self.x_band], axis=2, overwrite_x=True, workers=_FFT_WORKERS)
-        return np.ascontiguousarray(spectrum.reshape(3, -1)[:, self.idx_gather].T)
+        _split(threads, fields, lambda part, a, b: np.fft.ifft(block[a:b], axis=1, norm="forward", out=block[a:b]))
+        slabs = -(-ng // _SLAB_DEPTH)
+        size = ng * _SLAB_DEPTH
+        while len(self.slab_buffers) < min(threads, slabs):
+            self.slab_buffers.append(
+                (
+                    np.empty(size * _PRODUCT_FIELDS * (n + 1), dtype=np.complex128),
+                    np.empty(size * _PRODUCT_FIELDS * ng),
+                    np.empty(size * 3 * ng),
+                    np.empty(size * 3 * (ng // 2 + 1), dtype=np.complex128),
+                )
+            )
+        _split(threads, slabs, lambda part, a, b: self._slab_pass(block, combine, self.slab_buffers[part], a, b))
+        forward = self.forward
+        _split(threads, 3, lambda part, a, b: np.fft.fft(forward[a:b], axis=1, out=forward[a:b]))
+        by_y = forward.transpose(2, 0, 1, 3)[:, :, self.x_band]
+        _split(threads, 3, lambda part, a, b: np.fft.fft(by_y[:, a:b], axis=0, out=by_y[:, a:b]))
+        ky, kx, kz = self.idx_gather
+        return by_y[ky, :, kx, kz]
 
 
 def _is_canonical(k1, k2, k3):

@@ -18,6 +18,8 @@ recorded separately from monitor hits.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -520,6 +522,22 @@ def _pool_init(fft_workers: int) -> None:
     set_fft_workers(fft_workers)
 
 
+def _pool_shape(workers: int, chunks: int) -> tuple[int, int]:
+    """Processes of an ensemble pool and kernel threads per process: no
+    more processes than chunks or CPUs (a fork pool starts all of them at
+    once), and the CPUs shared among them."""
+    cpus = os.cpu_count() or 1
+    processes = min(workers, chunks, cpus)
+    return processes, max(1, cpus // processes)
+
+
+# The pool's start method, named so that a platform default (forkserver from
+# Python 3.14 on Linux) changes nothing.  fork starts a worker without
+# importing anything again; the kernel's threads never outlive a transform,
+# so no thread is copied.  Records do not depend on the method.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+
+
 def run_ensemble(cfg: RunConfig, size: int, workers: int = 1, *, sink: ChunkSink | None = None) -> list:
     """Run `size` trajectories with ids 0..size-1, in lockstep chunks, and
     return their records in id order.  Records are identical for any worker
@@ -532,14 +550,13 @@ def run_ensemble(cfg: RunConfig, size: int, workers: int = 1, *, sink: ChunkSink
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
     chunks = _chunks(cfg, size, workers, sink)
-    # a fork pool starts all its processes at once: no more than there are chunks
-    processes = min(workers, len(chunks))
+    processes, per_child = _pool_shape(workers, len(chunks))
     if processes <= 1:
         return [result for chunk in chunks for result in chunk.run()]
-    import os
-
-    per_child = max(1, (os.cpu_count() or 1) // processes)
     with ProcessPoolExecutor(
-        max_workers=processes, initializer=_pool_init, initargs=(per_child,)
+        max_workers=processes,
+        mp_context=multiprocessing.get_context(_START_METHOD),
+        initializer=_pool_init,
+        initargs=(per_child,),
     ) as pool:
         return [result for results in pool.map(_pool_worker, chunks) for result in results]

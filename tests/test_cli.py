@@ -1,6 +1,7 @@
 """CLI dispatch: outputs, determinism, exit codes."""
 
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -375,3 +376,41 @@ def test_shorter_run_deletes_the_longer_ones_snapshots(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["series.csv", "snapshot_00000000.snap", "snapshot_00000004.snap"]
     _, rows = read_csv(out / "series.csv")
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1", "1.5", ""])
+def test_moment_order_rejected_before_anything_runs(tmp_path, capsys, value):
+    cfg = tmp_path / "ens.ini"
+    cfg.write_text(ENSEMBLE_CFG)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ensemble", "--config", str(cfg), f"--moment={value}", "--output", str(out)])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "--moment" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spawned_pool_writes_the_bytes_of_a_forked_one(tmp_path, monkeypatch):
+    from leray_alpha import integrator
+
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("the pool is capped at one process here, so no pool starts")
+    started = []
+    pool = integrator.ProcessPoolExecutor
+
+    def recording_pool(**kwargs):
+        started.append(kwargs["mp_context"].get_start_method())
+        return pool(**kwargs)
+
+    monkeypatch.setattr(integrator, "ProcessPoolExecutor", recording_pool)
+    cfg = tmp_path / "ens.ini"
+    cfg.write_text(ENSEMBLE_CFG.replace("n = 3", "n = 2"))
+    outputs = {}
+    for method in ("fork", "spawn"):
+        monkeypatch.setattr(integrator, "_START_METHOD", method)
+        out = tmp_path / method
+        assert main(["ensemble", "--config", str(cfg), "--workers", "2", "--output", str(out)]) == EXIT_OK
+        outputs[method] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert started == ["fork", "spawn"]
+    assert len(outputs["fork"]) == 5
+    assert outputs["spawn"] == outputs["fork"]

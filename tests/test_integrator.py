@@ -643,6 +643,24 @@ class TestEnsembleSink:
         assert [r.trajectory_id for r in records] == [0, 1]
         assert started == [(2, (max(1, (os.cpu_count() or 1) // 2),))]
 
+    @pytest.mark.parametrize(
+        "cpus, workers, chunks, shape",
+        [(2, 6, 6, (2, 1)), (2, 2, 1, (1, 2)), (8, 3, 10, (3, 2)), (8, 16, 16, (8, 1)), (None, 4, 4, (1, 1))],
+    )
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, workers, chunks, shape):
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: cpus)
+        assert integrator._pool_shape(workers, chunks) == shape
+
+    def test_one_cpu_runs_the_chunks_in_this_process(self, monkeypatch):
+        def no_pool(**kwargs):
+            raise AssertionError("no pool may start on one CPU")
+
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(integrator, "ProcessPoolExecutor", no_pool)
+        cfg = linear_cfg(horizon=0.01, dt=0.005)
+        records = run_ensemble(cfg, 3, workers=4)
+        assert [r.trajectory_id for r in records] == [0, 1, 2]
+
     def test_default_cap_chunk_sizes(self):
         # the README's figures: the 500-step n = 1 OU ensemble runs two
         # chunks of 32 at two workers, n = 16 holds 4 members a chunk

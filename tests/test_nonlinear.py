@@ -2,13 +2,19 @@
 independent convolution oracles and the exact algebraic identities."""
 
 import math
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leray_alpha
 from leray_alpha import (
     ModelContext,
     SpectralField,
@@ -22,6 +28,7 @@ from leray_alpha import (
     sobolev_norm,
     trilinear,
 )
+from leray_alpha import nonlinear
 from leray_alpha.fields import get_fft_workers, lattice, set_fft_workers
 from leray_alpha.nonlinear import _advect_block, convective_commutator, gradient_lp_norm, pointwise_multiply
 
@@ -352,3 +359,103 @@ class TestProductGridKernel:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+
+def scipy_full_grid_advect(sfft, u, v, ctx):
+    """full_grid_advect with scipy.fft's rfftn/irfftn in place of the plan's."""
+    lat = ctx.lattice
+    plan = lat.plan(lat.product_ng)
+    stack = np.empty((12,) + plan.half_shape, dtype=np.complex128)
+    stack[0:3] = plan.scatter(u.coeffs)
+    spec_v = plan.scatter(v.coeffs)
+    for m, km in enumerate((plan.kx, plan.ky, plan.kz)):
+        np.multiply(spec_v, km, out=stack[3 + 3 * m : 6 + 3 * m])
+    stack[3:12] *= 1j
+    phys = sfft.irfftn(stack, s=(plan.ng,) * 3, axes=(-3, -2, -1), norm="forward")
+    conv = np.empty((3, plan.ng, plan.ng, plan.ng))
+    nonlinear._advective_products(phys, conv)
+    coeffs = plan.gather(sfft.rfftn(conv, axes=(-3, -2, -1), norm="forward"))
+    lat.project(coeffs)
+    return coeffs, stack, conv
+
+
+@pytest.fixture
+def saved_fft_workers():
+    saved = get_fft_workers()
+    yield
+    set_fft_workers(saved)
+
+
+class TestFftBackend:
+    """numpy.fft gives the bytes that scipy.fft gave, and the kernel's own
+    threads change no byte and outlive no call."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16])
+    def test_transforms_equal_scipy(self, n):
+        sfft = pytest.importorskip("scipy.fft")
+        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=n)
+        u = random_field(ctx, seed=n)
+        gu = helmholtz_filter(u, ctx)
+        expected, stack, conv = scipy_full_grid_advect(sfft, gu, u, ctx)
+        plan = ctx.lattice.plan(ctx.lattice.product_ng)
+        assert np.array_equal(plan.to_physical(stack), sfft.irfftn(stack, s=(plan.ng,) * 3, norm="forward"))
+        assert np.array_equal(plan.to_spectrum(conv), sfft.rfftn(conv, axes=(-3, -2, -1), norm="forward"))
+        assert np.array_equal(_advect_block(ctx.lattice, gu.coeffs[None], u.coeffs[None])[0], expected)
+
+    def block16(self):
+        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=16)
+        u = np.stack([random_field(ctx, seed=s).coeffs for s in (16, 17)])
+        return ctx, u * ctx.filter_multiplier[:, None], u
+
+    def test_bytes_do_not_depend_on_threads(self, saved_fft_workers):
+        # n = 16: 12 fields, 10 slabs and 3 forward fields, which 2 and 3
+        # threads split unevenly
+        ctx, gu, u = self.block16()
+        f, g = random_field(ctx, seed=1), random_field(ctx, seed=2)
+        results = []
+        for threads in (1, 2, 3):
+            set_fft_workers(threads)
+            results.append(
+                (
+                    _advect_block(ctx.lattice, gu, u),
+                    _advect_block(ctx.lattice, gu, u, project=False),
+                    pointwise_multiply(f, g, ctx).coeffs,
+                )
+            )
+        for result in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(result, results[0]))
+
+    def test_threads_end_with_the_call(self, monkeypatch, saved_fft_workers):
+        ctx, gu, u = self.block16()
+        seen = []
+
+        def counting(physical, out):
+            seen.append(threading.active_count())
+            products(physical, out)
+
+        products = nonlinear._advective_products
+        monkeypatch.setattr(nonlinear, "_advective_products", counting)
+        set_fft_workers(2)
+        before = threading.active_count()
+        _advect_block(ctx.lattice, gu, u)
+        assert max(seen) == before + 1  # the slab loop ran on a second thread
+        assert threading.active_count() == before
+
+    def test_overflow_on_threads_warns_nothing(self, saved_fft_workers):
+        # a blow-up step advects under np.errstate(over/invalid="ignore"),
+        # which numpy keeps in a context variable: the kernel's threads must
+        # run under it, or numpy.fft and the products print RuntimeWarnings
+        ctx, gu, u = self.block16()
+        set_fft_workers(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = _advect_block(ctx.lattice, 1e200 * gu, 1e200 * u)
+        assert not np.isfinite(out).all()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(leray_alpha.__file__).resolve().parents[1]
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import leray_alpha.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"
