@@ -21,7 +21,6 @@ import numpy as np
 from . import selfcheck
 from .config import ConfigError, ParsedConfig, parse_config
 from .diagnostics import classify_regime, ensemble_moments
-from .fields import default_fft_workers, set_fft_workers
 from .integrator import run_ensemble, run_trajectory
 from .noise import audit_hypotheses
 from .output import (
@@ -86,7 +85,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     remove_incomplete_marker(outdir)
     for stale in outdir.glob("snapshot_*.snap"):  # this run writes its own
         stale.unlink()
-    set_fft_workers(default_fft_workers())
     record = run_trajectory(parsed.run)
     write_series_csv(record, outdir / "series.csv")
     _write_snapshots(record, outdir)
@@ -104,8 +102,6 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     remove_incomplete_marker(outdir)
     remove_stale_trajectory_csvs(outdir, parsed.ensemble_size)
     cfg = replace(parsed.run, snapshot_every=None)
-    if parsed.workers <= 1:
-        set_fft_workers(default_fft_workers())
     # the chunks write their trajectory CSVs and return only the norm rows
     norms = run_ensemble(cfg, parsed.ensemble_size, parsed.workers, sink=TrajectoryCsvSink(outdir))
     halted = [r.trajectory_id for r in norms if not r.complete]
@@ -141,7 +137,6 @@ def _moment_order(text: str) -> float:
 
 
 def _parse_axis(spec: str, name: str) -> list[float]:
-    spec = spec.strip()
     try:
         if ":" in spec:
             parts = spec.split(":")
@@ -150,8 +145,15 @@ def _parse_axis(spec: str, name: str) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
                 raise ValueError("count must be >= 1")
-            return [float(x) for x in np.linspace(start, stop, count)]
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite range fails the check below
+                values = [float(x) for x in np.linspace(start, stop, count)]
+        else:
+            values = [float(tok) for tok in spec.split(",") if tok.strip()]
+        if not values:
+            raise ValueError("no values given")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"values must be finite, got {spec!r}")
+        return values
     except ValueError as exc:
         raise ConfigError(f"--{name}: {exc}") from None
 
@@ -175,6 +177,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_audit_noise(args: argparse.Namespace) -> int:
     parsed = _load(args)
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be >= 2, got {args.samples}")
     outdir = _output_dir(args, parsed)
     audit = audit_hypotheses(parsed.run.noise, parsed.run.ctx, samples=args.samples, seed=parsed.run.seed)
     text = audit.render()
@@ -223,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_aud = sub.add_parser("audit-noise", help="empirical growth/Lipschitz envelopes of the noise family")
     add_common(p_aud)
-    p_aud.add_argument("--samples", type=int, default=8, help="random fields per norm scale")
+    p_aud.add_argument("--samples", type=int, default=8, help="random fields per norm scale (>= 2)")
     p_aud.set_defaults(func=_cmd_audit_noise)
 
     p_chk = sub.add_parser("check-invariants", help="run the built-in invariant suite")

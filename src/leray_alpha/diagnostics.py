@@ -6,7 +6,7 @@ ledgers, Monte-Carlo moment estimates with jackknife errors, and the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,16 +126,18 @@ def ensemble_moments(records: list[TrajectoryRecord] | list[NormSeries], p: floa
     """Estimate E sup_t ||u||_{L2}^p, E sup_t ||u||_1^p, the weighted
     dissipation integrals E int ||u||^{p-2} ||u||_{theta2(+1)}^2 dt and the
     terminal energy, each with a jackknife standard error, from records or
-    their NormSeries.  Only complete trajectories enter the estimates and
-    the count: a halted one has no values at the later grid times."""
+    their NormSeries.  The records must sample one setup: their configs are
+    equal but for trajectory_id, which picks the noise stream, and
+    snapshot_every, which the norms do not see.  Only complete trajectories
+    enter the estimates and the count: a halted one has no values at the
+    later grid times."""
     if not records:
         raise ValueError("no records")
     if not (math.isfinite(p) and p >= 2):
         raise ValueError("moment order p must be finite and >= 2")
-    key = records[0].cfg.ensemble_key()
-    for rec in records[1:]:
-        if rec.cfg.ensemble_key() != key:
-            raise ValueError("mixed configurations in ensemble")
+    setup = replace(records[0].cfg, trajectory_id=0, snapshot_every=None)
+    if any(replace(r.cfg, trajectory_id=0, snapshot_every=None) != setup for r in records[1:]):
+        raise ValueError("mixed configurations in ensemble")
     complete = [r for r in records if r.complete]
     if not complete:
         raise ValueError("no complete trajectories")

@@ -30,7 +30,9 @@ from .fields import (
     ModelContext,
     SpectralField,
     canonical_mode,
+    default_fft_workers,
     energies,
+    get_fft_workers,
     inner_products,
     random_field,
     scalar_squares,
@@ -187,20 +189,6 @@ class RunConfig:
     @property
     def steps(self) -> int:
         return grid_steps(self.horizon, self.dt)
-
-    def ensemble_key(self) -> tuple:
-        """Identity of the run setup; trajectories of one ensemble share it."""
-        return (
-            self.ctx,
-            self.dt,
-            self.horizon,
-            self.noise.signature(),
-            self.initial,
-            self.seed,
-            self.cutoff_radius,
-            self.monitors,
-            self.nonlinear,
-        )
 
 
 @dataclass(frozen=True)
@@ -376,7 +364,8 @@ def step(state: TrajectoryState, cfg: RunConfig) -> TrajectoryState:
         raise ValueError("cannot step a halted trajectory")
     core = _StepCore(cfg)
     rows = np.zeros((1, len(SERIES_COLUMNS), 2))
-    rows[0, _NORM_ROWS, 0] = core.norms(state.u.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # norms that overflow halt the first step
+        rows[0, _NORM_ROWS, 0] = core.norms(state.u.coeffs)
     new, finite = core.advance(
         state.u.coeffs[None], state.step_index, [state.stream], rows, np.zeros((1, len(INCREMENT_COLUMNS)))
     )
@@ -388,10 +377,21 @@ def step(state: TrajectoryState, cfg: RunConfig) -> TrajectoryState:
     )
 
 
+def _in_process(run: Callable[[], list]) -> list:
+    """Call run, a run in this process, at default_fft_workers() kernel
+    threads; restore the previous count when it returns or raises."""
+    previous = get_fft_workers()
+    set_fft_workers(default_fft_workers())
+    try:
+        return run()
+    finally:
+        set_fft_workers(previous)
+
+
 def run_trajectory(cfg: RunConfig) -> TrajectoryRecord:
-    """Integrate one path over [0, steps * dt], recording norms, ledger
-    increments and snapshots at the configured cadence."""
-    return _run_lockstep([cfg])[0]
+    """Integrate one path over [0, steps * dt] in this process, recording
+    norms, ledger increments and snapshots at the configured cadence."""
+    return _in_process(lambda: _run_lockstep([cfg]))[0]
 
 
 def _run_lockstep(cfgs: list[RunConfig]) -> list[TrajectoryRecord]:
@@ -412,7 +412,8 @@ def _run_lockstep(cfgs: list[RunConfig]) -> list[TrajectoryRecord]:
     increments = np.zeros((len(cfgs), len(INCREMENT_COLUMNS), steps))
     t = np.arange(steps + 1) * cfg.dt
     series[:, 0] = t
-    series[:, _NORM_ROWS, 0] = core.norms(u0.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # norms that overflow halt the first step
+        series[:, _NORM_ROWS, 0] = core.norms(u0.coeffs)
 
     cadence = None if cfg.snapshot_every is None else grid_steps(cfg.snapshot_every, cfg.dt)
     snapshots: list[list[tuple[float, SpectralField]]] = [[(0.0, u0)] if cadence is not None else [] for _ in cfgs]
@@ -546,13 +547,15 @@ def run_ensemble(cfg: RunConfig, size: int, workers: int = 1, *, sink: ChunkSink
 
     sink, a picklable callable, receives each chunk's records in the process
     that ran the chunk and returns one result per record; run_ensemble then
-    returns those results in id order instead of the records."""
+    returns those results in id order instead of the records.  Chunks run
+    in this process as run_trajectory does, or in a pool whose children run
+    the product-grid kernel at their share of the CPUs."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
     chunks = _chunks(cfg, size, workers, sink)
     processes, per_child = _pool_shape(workers, len(chunks))
     if processes <= 1:
-        return [result for chunk in chunks for result in chunk.run()]
+        return _in_process(lambda: [result for chunk in chunks for result in chunk.run()])
     with ProcessPoolExecutor(
         max_workers=processes,
         mp_context=multiprocessing.get_context(_START_METHOD),

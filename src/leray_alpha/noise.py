@@ -126,10 +126,6 @@ class NoiseFamily:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def signature(self) -> tuple:
-        """Hashable identity used to reject mixed-configuration ensembles."""
-        raise NotImplementedError
-
     def _check_increment(self, incr: WienerIncrement) -> None:
         if incr.values.shape != (self.dim,):
             raise ValueError(
@@ -163,8 +159,8 @@ def _normalize_modes(modes, sigmas, n: int):
 class _ModeNoise(NoiseFamily):
     """A family with one driver per canonical mode k_j of truncation n, with
     amplitude sigma_j.  The lattice rows of the modes, their |k|^2 and the
-    amplitudes as an array are built once (non-compared fields: equality,
-    hashing and signature() see only modes, sigmas, n and kind)."""
+    amplitudes as an array are built once (non-compared fields: equality
+    and hashing see only modes, sigmas, n and kind)."""
 
     modes: tuple[tuple[int, int, int], ...]
     sigmas: tuple[float, ...]
@@ -201,9 +197,6 @@ class _ModeNoise(NoiseFamily):
     def describe(self) -> str:
         parts = ", ".join(f"{k}:{s:g}" for k, s in zip(self.modes, self.sigmas))
         return f"{self.kind}[{parts}]"
-
-    def signature(self) -> tuple:
-        return (self.kind, self.n, self.modes, self.sigmas)
 
 
 @dataclass(frozen=True)
@@ -268,9 +261,6 @@ class LinearMultiplicativeNoise(NoiseFamily):
 
     def describe(self) -> str:
         return f"linear-multiplicative[sigma={self.sigma:g}]"
-
-    def signature(self) -> tuple:
-        return ("linear-multiplicative", self.sigma)
 
 
 @dataclass(frozen=True)

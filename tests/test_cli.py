@@ -144,6 +144,19 @@ def test_classify_range_syntax(tmp_path):
     assert len(rows) == 25
 
 
+@pytest.mark.parametrize("axis", ["theta1", "theta2"])
+@pytest.mark.parametrize(
+    "value", ["nan", "inf", "-inf", "1e400", "0.5,nan", "", " , ", "nan:1:3", "0:inf:3", "-1e308:1e308:3"]
+)
+def test_classify_axis_rejected_before_anything_runs(tmp_path, capsys, axis, value):
+    axes = {"theta1": "0.5", "theta2": "1.0", axis: value}
+    out = tmp_path / "out"
+    argv = ["classify", f"--theta1={axes['theta1']}", f"--theta2={axes['theta2']}", "--output", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"--{axis}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(DECAY_CFG.replace("theta2 = 1.0", "theta2 = 0"))
@@ -264,6 +277,16 @@ def test_audit_noise_writes_report(tmp_path):
     text = (out / "noise_audit.txt").read_text()
     assert "linear-multiplicative" in text
     assert "bounded ratios" in text
+
+
+@pytest.mark.parametrize("samples", ["1", "0", "-1"])
+def test_audit_noise_sample_count_rejected_before_anything_runs(tmp_path, capsys, samples):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ENSEMBLE_CFG)
+    out = tmp_path / "out"
+    assert main(["audit-noise", "--config", str(cfg), f"--samples={samples}", "--output", str(out)]) == EXIT_CONFIG
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_invariants_passes(capsys):
@@ -414,3 +437,42 @@ def test_spawned_pool_writes_the_bytes_of_a_forked_one(tmp_path, monkeypatch):
     assert started == ["fork", "spawn"]
     assert len(outputs["fork"]) == 5
     assert outputs["spawn"] == outputs["fork"]
+
+
+@pytest.mark.parametrize("command", ["run", "ensemble"])
+def test_commands_leave_the_fft_thread_count_alone(tmp_path, monkeypatch, command):
+    # run on the golden run.ini, ensemble in this process (--workers 1)
+    from leray_alpha import fields
+
+    cfg = tmp_path / "ens.ini"
+    cfg.write_text(ENSEMBLE_CFG)
+    config = GOLDEN / "run.ini" if command == "run" else cfg
+    monkeypatch.setattr(fields, "_FFT_WORKERS", 3)
+    argv = [command, "--config", str(config), "--workers", "1", "--output", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    assert fields.get_fft_workers() == 3
+
+
+def test_one_chunk_ensemble_runs_the_kernel_at_one_thread_count(tmp_path, monkeypatch):
+    # one chunk runs in this process for any --workers, so at the threads of a run
+    from leray_alpha import fields
+
+    seen = []
+    transform = fields._ProductGrid.transform
+
+    def spy(self, *args):
+        seen.append(fields.get_fft_workers())
+        return transform(self, *args)
+
+    monkeypatch.setattr(fields._ProductGrid, "transform", spy)
+    monkeypatch.setattr(fields, "_FFT_WORKERS", 1)  # as in a fresh process
+    cfg = tmp_path / "ens.ini"
+    one_chunk = ENSEMBLE_CFG.replace("n = 3", "n = 16").replace("T = 0.2", "T = 0.04").replace("size = 4", "size = 1")
+    cfg.write_text(one_chunk)
+    threads = {}
+    for workers in ("2", "1"):
+        seen.clear()
+        argv = ["ensemble", "--config", str(cfg), "--workers", workers, "--output", str(tmp_path / workers)]
+        assert main(argv) == EXIT_OK
+        threads[workers] = set(seen)
+    assert threads["2"] == threads["1"] == {fields.default_fft_workers()}

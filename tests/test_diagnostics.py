@@ -1,6 +1,7 @@
 """Energy ledgers, Monte-Carlo moments, regime classification."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 from leray_alpha import (
     AdditiveNoise,
+    DiagonalSpectralNoise,
     InitialData,
     LinearMultiplicativeNoise,
     ModelContext,
+    Monitor,
     RunConfig,
     StoppingRecord,
     classify_regime,
@@ -175,11 +178,31 @@ class TestEnsembleMoments:
         with pytest.raises(ValueError, match="no complete trajectories"):
             ensemble_moments([halted], p=2.0)
 
-    def test_mixed_configurations_rejected(self):
+    @pytest.mark.parametrize(
+        "other, mixed",
+        [
+            (dict(dt=0.005), True),
+            (dict(noise=AdditiveNoise(((0, 0, 1),), (0.4,), 1)), True),
+            (dict(noise=DiagonalSpectralNoise(((0, 0, 1),), (0.3,), 1)), True),
+            (dict(cutoff_radius=1.0), True),
+            (dict(nonlinear=True), True),
+            (dict(monitors=(Monitor("tau_R", 1.0),)), True),
+            (dict(trajectory_id=3), False),
+            (dict(snapshot_every=0.1), False),
+            (dict(), False),
+        ],
+        ids=["dt", "sigma", "family", "cutoff", "nonlinear", "monitor", "trajectory_id", "snapshot_every", "same"],
+    )
+    def test_mixed_configurations_rejected(self, other, mixed):
+        # one setup: configs equal but for trajectory_id and snapshot_every,
+        # also after a pickled round trip (pool children return their records)
         a = run_trajectory(ou_cfg())
-        b = run_trajectory(ou_cfg(dt=0.005))
-        with pytest.raises(ValueError, match="mixed"):
-            ensemble_moments([a, b], p=2.0)
+        b = pickle.loads(pickle.dumps(run_trajectory(ou_cfg(**other))))
+        if mixed:
+            with pytest.raises(ValueError, match="mixed"):
+                ensemble_moments([a, b], p=2.0)
+        else:
+            assert ensemble_moments([a, b], p=2.0).count == 2
 
     def test_moment_order_validated(self):
         records = [run_trajectory(ou_cfg())]

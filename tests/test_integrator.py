@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -301,6 +302,38 @@ class TestOneIntegrationPath:
             run_trajectory(cfg)
         with pytest.raises(ValueError, match="increment is not finite"):
             run_ensemble(cfg, 3, workers=1)
+
+    def test_runs_in_this_process_scope_the_kernel_threads(self, monkeypatch):
+        # a run takes default_fft_workers() threads and gives the count back, also when it raises
+        seen = []
+
+        def broken_apply(self, coeffs, increments):
+            seen.append(fields.get_fft_workers())
+            raise ValueError("broken apply")
+
+        monkeypatch.setattr(fields, "_FFT_WORKERS", 3)
+        monkeypatch.setattr(AdditiveNoise, "_apply_block", broken_apply)
+        cfg = linear_cfg(noise=AdditiveNoise(((0, 0, 1),), (0.5,), 2), horizon=0.01, dt=0.005)
+        for run in (run_trajectory, lambda cfg: run_ensemble(cfg, 3, workers=1)):
+            with pytest.raises(ValueError, match="broken apply"):
+                run(cfg)
+            assert fields.get_fft_workers() == 3
+        assert seen == [fields.default_fft_workers()] * 2
+
+    def test_initial_norms_that_overflow_halt_without_a_warning(self):
+        cfg = RunConfig(
+            ctx=ModelContext(nu=0.5, alpha=1.0, theta1=1.0, theta2=1.0, n=4),
+            dt=0.01,
+            horizon=0.05,
+            noise=LinearMultiplicativeNoise(0.1),
+            initial=InitialData(kind="random", amplitude=1e155, seed=1),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run_trajectory(cfg)
+            state = step(initial_state(cfg), cfg)
+        assert record.overflow.hit_time == state.halted.hit_time == cfg.dt
+        assert record.series.tolist() == [[0.0], *[[math.inf]] * 4, [0.0], [0.0], [0.0]]
 
 
 def scalar_noise(fam, c, dw, norm_l2, norm_h1):
