@@ -462,6 +462,10 @@ class ModelContext:
             raise ValueError("alpha must be positive and finite")
         if not (self.theta1 >= 0 and math.isfinite(self.theta1)):
             raise ValueError("theta1 must be >= 0 and finite")
+        try:  # the smoothing filter's factor; a float power that overflows raises
+            self.alpha ** (2.0 * self.theta1)
+        except OverflowError:
+            raise ValueError("alpha^(2 theta1) must be a finite double") from None
         if not (self.theta2 > 0 and math.isfinite(self.theta2)):
             raise ValueError("theta2 must be > 0")
         if self.n < 1:

@@ -34,6 +34,7 @@ from .fields import (
     energies,
     get_fft_workers,
     inner_products,
+    leray_project,
     random_field,
     scalar_squares,
     set_fft_workers,
@@ -125,8 +126,10 @@ _GRID_RTOL = 1e-9
 
 def grid_steps(span: float, dt: float) -> int | None:
     """span / dt when span is a whole number (>= 1) of steps dt, to within a
-    relative 1e-9; None otherwise."""
+    relative 1e-9; None otherwise (also when the ratio is not finite)."""
     ratio = span / dt
+    if not math.isfinite(ratio):
+        return None
     steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > _GRID_RTOL * ratio:
         return None
@@ -196,7 +199,6 @@ class TrajectoryState:
     t: float
     u: SpectralField
     step_index: int
-    stream: WienerStream
     halted: StoppingRecord | None = None
 
 
@@ -266,9 +268,10 @@ class TrajectoryRecord:
 
 
 class _StepCore:
-    """Per-run constants and the one update that step(), run_trajectory()
-    and ensemble chunks share: it advances K trajectories of one setup, which
-    differ only in trajectory_id, from a (K, M, 3) state block."""
+    """Per-run constants and the one update, driven only by _run_lockstep:
+    it advances K trajectories of one setup, which differ only in
+    trajectory_id, from a (K, M, 3) state block at any grid step, so a run
+    may start from any TrajectoryState (its start point)."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -349,32 +352,20 @@ class _StepCore:
 
 
 def initial_state(cfg: RunConfig) -> TrajectoryState:
-    from .fields import leray_project
-
-    u0 = leray_project(cfg.initial.build(cfg.ctx))
-    stream = WienerStream(cfg.seed, cfg.trajectory_id, cfg.noise.dim)
-    return TrajectoryState(t=0.0, u=u0, step_index=0, stream=stream)
+    return TrajectoryState(t=0.0, u=leray_project(cfg.initial.build(cfg.ctx)), step_index=0)
 
 
 def step(state: TrajectoryState, cfg: RunConfig) -> TrajectoryState:
-    """Advance one grid step; raises on a halted state, halts (with an
-    overflow record, distinct from monitor hits) when the update is not
-    finite."""
+    """Advance one grid step, as a one-step run of _run_lockstep from state
+    without snapshots, at this process's FFT thread count; raises on a
+    halted state, halts (with an overflow record, distinct from monitor
+    hits) when the update is not finite."""
     if state.halted is not None:
         raise ValueError("cannot step a halted trajectory")
-    core = _StepCore(cfg)
-    rows = np.zeros((1, len(SERIES_COLUMNS), 2))
-    with np.errstate(over="ignore", invalid="ignore"):  # norms that overflow halt the first step
-        rows[0, _NORM_ROWS, 0] = core.norms(state.u.coeffs)
-    new, finite = core.advance(
-        state.u.coeffs[None], state.step_index, [state.stream], rows, np.zeros((1, len(INCREMENT_COLUMNS)))
-    )
-    t_next = (state.step_index + 1) * cfg.dt
-    if not finite[0]:
-        return replace(state, halted=StoppingRecord("overflow", math.inf, t_next))
-    return TrajectoryState(
-        t=t_next, u=SpectralField(cfg.ctx.n, new[0]), step_index=state.step_index + 1, stream=state.stream
-    )
+    (record,) = _run_lockstep([replace(cfg, snapshot_every=None)], state, state.step_index + 1)
+    if not record.complete:
+        return replace(state, halted=record.overflow)
+    return TrajectoryState(t=float(record.t[-1]), u=record.final_field, step_index=state.step_index + 1)
 
 
 def _in_process(run: Callable[[], list]) -> list:
@@ -394,29 +385,37 @@ def run_trajectory(cfg: RunConfig) -> TrajectoryRecord:
     return _in_process(lambda: _run_lockstep([cfg]))[0]
 
 
-def _run_lockstep(cfgs: list[RunConfig]) -> list[TrajectoryRecord]:
+def _run_lockstep(
+    cfgs: list[RunConfig], start: TrajectoryState | None = None, stop: int | None = None
+) -> list[TrajectoryRecord]:
     """Integrate trajectories that differ only in trajectory_id in lockstep,
-    one _StepCore.advance per grid step.  A member whose step is not finite
-    leaves the live set; its record ends at its last finite state, as in a
-    run of its own, and the others carry on."""
+    one _StepCore.advance per grid step, from the start point `start` (the
+    state every member starts from: initial_state by default) to grid step
+    `stop` (cfg.steps by default).  The blocks and the snapshot cadence count
+    from the start's step index, the cumulative integrals from 0.  A member
+    whose step is not finite leaves the live set; its record ends at its
+    last finite state, as in a run of its own, and the others carry on."""
     cfg = cfgs[0]
     core = _StepCore(cfg)
-    n, steps = cfg.ctx.n, cfg.steps
-    u0 = initial_state(cfg).u  # the initial data does not depend on the trajectory id
-    u = np.repeat(u0.coeffs[None], len(cfgs), axis=0)
+    start = initial_state(cfg) if start is None else start  # the initial data does not depend on the id
+    first, stop = start.step_index, cfg.steps if stop is None else stop
+    n, steps = cfg.ctx.n, stop - first
+    u = np.repeat(start.u.coeffs[None], len(cfgs), axis=0)
     streams = [WienerStream(c.seed, c.trajectory_id, c.noise.dim) for c in cfgs]
 
-    # row k of u, series, increments and streams is member live[k]
+    # row k of u, series, increments and streams is member live[k]; column j
+    # of the blocks is grid step first + j
     live = list(range(len(cfgs)))
     series = np.zeros((len(cfgs), len(SERIES_COLUMNS), steps + 1))
     increments = np.zeros((len(cfgs), len(INCREMENT_COLUMNS), steps))
-    t = np.arange(steps + 1) * cfg.dt
+    t = np.arange(first, stop + 1) * cfg.dt
     series[:, 0] = t
+    times = t.tolist()  # halt and snapshot times, as Python floats
     with np.errstate(over="ignore", invalid="ignore"):  # norms that overflow halt the first step
-        series[:, _NORM_ROWS, 0] = core.norms(u0.coeffs)
+        series[:, _NORM_ROWS, 0] = core.norms(start.u.coeffs)
 
     cadence = None if cfg.snapshot_every is None else grid_steps(cfg.snapshot_every, cfg.dt)
-    snapshots: list[list[tuple[float, SpectralField]]] = [[(0.0, u0)] if cadence is not None else [] for _ in cfgs]
+    snapshots = [[(times[0], start.u)] if cadence is not None else [] for _ in cfgs]
     records: list[TrajectoryRecord | None] = [None] * len(cfgs)
 
     def finish(row: int, last: int, overflow: StoppingRecord | None) -> None:
@@ -431,11 +430,11 @@ def _run_lockstep(cfgs: list[RunConfig]) -> list[TrajectoryRecord]:
             cfgs[member], rows, incs, overflow, tuple(snapshots[member]), SpectralField(n, final)
         )
 
-    for m in range(steps):
-        new, finite = core.advance(u, m, streams, series[:, :, m : m + 2], increments[:, :, m])
+    for j, m in enumerate(range(first, stop)):
+        new, finite = core.advance(u, m, streams, series[:, :, j : j + 2], increments[:, :, j])
         if not finite.all():
             for row in np.flatnonzero(~finite):
-                finish(row, m, StoppingRecord("overflow", math.inf, t[m + 1]))
+                finish(row, j, StoppingRecord("overflow", math.inf, times[j + 1]))
             keep = np.flatnonzero(finite)
             live = [live[row] for row in keep]
             streams = [streams[row] for row in keep]
@@ -443,9 +442,9 @@ def _run_lockstep(cfgs: list[RunConfig]) -> list[TrajectoryRecord]:
             if not live:
                 break
         u = new
-        if cadence is not None and ((m + 1) % cadence == 0 or m + 1 == steps):
+        if cadence is not None and ((m + 1) % cadence == 0 or m + 1 == stop):
             for row, member in enumerate(live):
-                snapshots[member].append((t[m + 1], SpectralField(n, u[row])))
+                snapshots[member].append((times[j + 1], SpectralField(n, u[row])))
     for row in range(len(live)):
         finish(row, steps, None)
     return records

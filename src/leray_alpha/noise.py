@@ -151,7 +151,7 @@ def _normalize_modes(modes, sigmas, n: int):
     if len(sig) != len(canon):
         raise ValueError("need one amplitude per noise mode")
     if any(s < 0 or not math.isfinite(s) for s in sig):
-        raise ValueError("amplitudes must be finite and >= 0")
+        raise ValueError("amplitudes sigma_j must be finite and >= 0")
     return tuple(canon), tuple(sig)
 
 
@@ -179,8 +179,13 @@ class _ModeNoise(NoiseFamily):
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_k_sq", lattice(self.n).k_sq[rows])
         object.__setattr__(self, "_sigmas", np.asarray(sigmas))
-        # the energy ledger's s = 0 and 1 weights
-        object.__setattr__(self, "_ledger_weights", (self._hs_weights(0.0), self._hs_weights(1.0)))
+        # the energy ledger's s = 0 and 1 weights, and their sums, must be finite doubles
+        with np.errstate(over="ignore"):
+            weights = (self._hs_weights(0.0), self._hs_weights(1.0))
+            finite = all(np.isfinite(w.sum()) for w in weights)
+        if not finite:
+            raise ValueError("amplitudes sigma_j too large: the ledger weights sigma_j^2 |k_j|^{2s} overflow")
+        object.__setattr__(self, "_ledger_weights", weights)
 
     def _hs_weights(self, s: float) -> np.ndarray:
         """sigma_j^2 |k_j|^{2s} per driver."""
@@ -241,8 +246,8 @@ class LinearMultiplicativeNoise(NoiseFamily):
     kind: str = field(default="linear-multiplicative", init=False)
 
     def __post_init__(self):
-        if self.sigma < 0 or not math.isfinite(self.sigma):
-            raise ValueError("sigma must be finite and >= 0")
+        if self.sigma < 0 or not math.isfinite(self.sigma * self.sigma):  # the ledger's weight sigma^2
+            raise ValueError("sigma must be >= 0 with a finite sigma^2")
 
     @property
     def dim(self) -> int:

@@ -157,10 +157,7 @@ class TestStep:
         state = initial_state(cfg)
         from leray_alpha.integrator import StoppingRecord, TrajectoryState
 
-        dead = TrajectoryState(
-            t=0.0, u=state.u, step_index=0, stream=state.stream,
-            halted=StoppingRecord("overflow", math.inf, 0.0),
-        )
+        dead = TrajectoryState(t=0.0, u=state.u, step_index=0, halted=StoppingRecord("overflow", math.inf, 0.0))
         with pytest.raises(ValueError, match="halted"):
             step(dead, cfg)
 
@@ -281,6 +278,28 @@ class TestOneIntegrationPath:
         assert state.halted is None and state.step_index == cfg.steps
         assert state.u.coeffs.tobytes() == record.final_field.coeffs.tobytes()
 
+    def test_runner_started_mid_run_continues_the_path(self):
+        # the start point's state and step index fix the rest of the path
+        cfg = RunConfig(
+            ctx=ModelContext(nu=0.5, alpha=1.0, theta1=1.0, theta2=1.0, n=3),
+            dt=0.02,
+            horizon=0.4,
+            noise=AdditiveNoise(((0, 0, 1), (1, 1, 0)), (0.5, 0.3), 3),
+            initial=InitialData(kind="random", amplitude=2.0, seed=4),
+            seed=11,
+            snapshot_every=0.04,
+        )
+        full = run_trajectory(cfg)
+        state = initial_state(cfg)
+        for _ in range(4):
+            state = step(state, cfg)
+        (tail,) = integrator._run_lockstep([cfg], state)
+        assert tail.t.tolist() == full.t[4:].tolist()
+        assert tail.norms.tobytes() == full.norms[:, 4:].tobytes()
+        assert tail.final_field.coeffs.tobytes() == full.final_field.coeffs.tobytes()
+        later = [(t, u.coeffs.tobytes()) for t, u in full.snapshots if t >= state.t]
+        assert [(t, u.coeffs.tobytes()) for t, u in tail.snapshots] == later
+
     def test_step_and_run_trajectory_halt_at_same_step(self):
         cfg = self.blowup_cfg()
         record = run_trajectory(cfg)
@@ -334,6 +353,21 @@ class TestOneIntegrationPath:
             state = step(initial_state(cfg), cfg)
         assert record.overflow.hit_time == state.halted.hit_time == cfg.dt
         assert record.series.tolist() == [[0.0], *[[math.inf]] * 4, [0.0], [0.0], [0.0]]
+
+    def test_halt_and_snapshot_times_are_python_floats(self):
+        # step() and run_trajectory() report the same halt record, from the one runner
+        cfg = RunConfig(
+            ctx=ModelContext(nu=0.5, alpha=1.0, theta1=1.0, theta2=1.0, n=4),
+            dt=0.01,
+            horizon=0.05,
+            noise=LinearMultiplicativeNoise(0.1),
+            initial=InitialData(kind="random", amplitude=1e155, seed=1),
+        )
+        halted, overflow = step(initial_state(cfg), cfg).halted, run_trajectory(cfg).overflow
+        assert type(halted.hit_time) is type(overflow.hit_time) is float
+        assert repr(halted) == repr(overflow) == "StoppingRecord(kind='overflow', threshold=inf, hit_time=0.01)"
+        record = run_trajectory(replace(cfg, initial=InitialData(kind="random", seed=1), snapshot_every=0.02))
+        assert [type(t) for t, _ in record.snapshots] == [float] * 4
 
 
 def scalar_noise(fam, c, dw, norm_l2, norm_h1):
