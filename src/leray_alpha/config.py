@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .fields import ModelContext
-from .integrator import InitialData, Monitor, RunConfig, RunConfigError
+from .integrator import MONITOR_KINDS, InitialData, Monitor, RunConfig, RunConfigError
 from .noise import (
     AdditiveNoise,
     DiagonalSpectralNoise,
@@ -35,15 +36,16 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configurations."""
 
 
+# section: (its required keys, its optional keys)
 _SCHEMA = {
-    "model": {"nu", "alpha", "theta1", "theta2", "n", "nonlinear"},
-    "time": {"dt", "T", "snapshot_every"},
-    "noise": {"family", "seed", "sigma", "modes", "gamma", "driver_dim"},
-    "initial": {"kind", "mode", "seed", "slope", "amplitude"},
-    "monitors": {"tau_R", "rho_M", "gamma_K"},
-    "cutoff": {"R"},
-    "ensemble": {"size", "workers"},
-    "output": {"directory"},
+    "model": (("nu", "alpha", "theta1", "theta2", "n"), ("nonlinear",)),
+    "time": (("dt", "T"), ("snapshot_every",)),
+    "noise": (("family",), ("seed", "sigma", "modes", "gamma", "driver_dim")),
+    "initial": (("kind",), ("mode", "seed", "slope", "amplitude")),
+    "monitors": ((), MONITOR_KINDS),
+    "cutoff": (("R",), ()),
+    "ensemble": ((), ("size", "workers")),
+    "output": ((), ("directory",)),
 }
 _REQUIRED_SECTIONS = ("model", "time", "noise", "initial")
 # the section of each RunConfig field whose check can fail
@@ -115,43 +117,47 @@ def _mode_list(section: str, key: str, raw: str):
     return modes, sigmas
 
 
+@contextmanager
+def _owned(where: str):
+    """Report a ValueError that the owner of a value raises as a ConfigError
+    that starts with where."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from None
+
+
 def _build_noise(opts: dict[str, str], n: int) -> NoiseFamily:
-    family = opts.get("family")
-    if family is None:
-        raise ConfigError("[noise] family is required")
-    family = family.strip().lower().replace("-", "_")
+    family = opts["family"].strip().lower().replace("-", "_")
     has_modes = "modes" in opts
     has_decay = "gamma" in opts or "driver_dim" in opts
-    try:
-        if family == "linear_multiplicative":
-            if has_modes or has_decay:
-                raise ConfigError("[noise] linear_multiplicative takes only sigma (no modes/gamma/driver_dim)")
-            if "sigma" not in opts:
-                raise ConfigError("[noise] sigma is required for linear_multiplicative")
-            return LinearMultiplicativeNoise(_float("noise", "sigma", opts["sigma"]))
-        if family in ("additive", "diagonal_spectral"):
-            cls = AdditiveNoise if family == "additive" else DiagonalSpectralNoise
-            if has_modes and has_decay:
-                raise ConfigError("[noise] give either modes or a decay law, not both")
-            if has_modes:
-                modes, sigmas = _mode_list("noise", "modes", opts["modes"])
-            elif has_decay:
-                for needed in ("sigma", "gamma", "driver_dim"):
-                    if needed not in opts:
-                        raise ConfigError(f"[noise] {needed} is required for the decay law")
-                modes, sigmas = decay_modes(
-                    n,
-                    _int("noise", "driver_dim", opts["driver_dim"]),
-                    _float("noise", "sigma", opts["sigma"]),
-                    _float("noise", "gamma", opts["gamma"]),
-                )
-            else:
-                raise ConfigError(f"[noise] {family} needs modes or a decay law (sigma, gamma, driver_dim)")
-            return cls(tuple(modes), tuple(sigmas), n)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[noise] {exc}") from None
+    if family == "linear_multiplicative":
+        if has_modes or has_decay:
+            raise ConfigError("[noise] linear_multiplicative takes only sigma (no modes/gamma/driver_dim)")
+        if "sigma" not in opts:
+            raise ConfigError("[noise] sigma is required for linear_multiplicative")
+        return LinearMultiplicativeNoise(_float("noise", "sigma", opts["sigma"]))
+    if family in ("additive", "diagonal_spectral"):
+        cls = AdditiveNoise if family == "additive" else DiagonalSpectralNoise
+        if has_modes and has_decay:
+            raise ConfigError("[noise] give either modes or a decay law, not both")
+        if has_modes:
+            modes, sigmas = _mode_list("noise", "modes", opts["modes"])
+        elif has_decay:
+            for needed in ("sigma", "gamma", "driver_dim"):
+                if needed not in opts:
+                    raise ConfigError(f"[noise] {needed} is required for the decay law")
+            modes, sigmas = decay_modes(
+                n,
+                _int("noise", "driver_dim", opts["driver_dim"]),
+                _float("noise", "sigma", opts["sigma"]),
+                _float("noise", "gamma", opts["gamma"]),
+            )
+        else:
+            raise ConfigError(f"[noise] {family} needs modes or a decay law (sigma, gamma, driver_dim)")
+        return cls(tuple(modes), tuple(sigmas), n)
     raise ConfigError(
         f"[noise] family: unknown family {family!r} "
         "(expected additive, linear_multiplicative or diagonal_spectral)"
@@ -159,32 +165,24 @@ def _build_noise(opts: dict[str, str], n: int) -> NoiseFamily:
 
 
 def _build_initial(opts: dict[str, str]) -> InitialData:
-    kind = opts.get("kind")
-    if kind is None:
-        raise ConfigError("[initial] kind is required")
-    kind = kind.strip().lower()
+    kind = opts["kind"].strip().lower()
     amplitude = _float("initial", "amplitude", opts.get("amplitude", "1.0"))
-    try:
-        if kind == "single_mode":
-            if "mode" not in opts:
-                raise ConfigError("[initial] mode is required for kind=single_mode")
-            for forbidden in ("seed", "slope"):
-                if forbidden in opts:
-                    raise ConfigError(f"[initial] {forbidden} only applies to kind=random")
-            return InitialData(kind="single_mode", mode=_mode("initial", "mode", opts["mode"]), amplitude=amplitude)
-        if kind == "random":
-            if "mode" in opts:
-                raise ConfigError("[initial] mode only applies to kind=single_mode")
-            return InitialData(
-                kind="random",
-                amplitude=amplitude,
-                seed=_int("initial", "seed", opts.get("seed", "0")),
-                slope=_float("initial", "slope", opts.get("slope", "2.0")),
-            )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[initial] {exc}") from None
+    if kind == "single_mode":
+        if "mode" not in opts:
+            raise ConfigError("[initial] mode is required for kind=single_mode")
+        for forbidden in ("seed", "slope"):
+            if forbidden in opts:
+                raise ConfigError(f"[initial] {forbidden} only applies to kind=random")
+        return InitialData(kind="single_mode", mode=_mode("initial", "mode", opts["mode"]), amplitude=amplitude)
+    if kind == "random":
+        if "mode" in opts:
+            raise ConfigError("[initial] mode only applies to kind=single_mode")
+        return InitialData(
+            kind="random",
+            amplitude=amplitude,
+            seed=_int("initial", "seed", opts.get("seed", "0")),
+            slope=_float("initial", "slope", opts.get("slope", "2.0")),
+        )
     raise ConfigError(f"[initial] kind: unknown kind {kind!r} (expected single_mode or random)")
 
 
@@ -201,58 +199,51 @@ def parse_config(text: str, seed_override: int | None = None) -> ParsedConfig:
         raise ConfigError(f"malformed config: {exc}") from None
 
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
-    for name in sections:
+    for name, keys in sections.items():
         if name not in _SCHEMA:
             raise ConfigError(f"unknown section [{name}]")
-        for key in sections[name]:
-            if key not in _SCHEMA[name]:
+        required, optional = _SCHEMA[name]
+        for key in keys:
+            if key not in required + optional:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
     for name in _REQUIRED_SECTIONS:
         if name not in sections:
             raise ConfigError(f"missing required section [{name}]")
+    for name, keys in sections.items():
+        for key in _SCHEMA[name][0]:
+            if key not in keys:
+                raise ConfigError(f"[{name}] {key} is required")
 
     model = sections["model"]
-    for key in ("nu", "alpha", "theta1", "theta2", "n"):
-        if key not in model:
-            raise ConfigError(f"[model] {key} is required")
     params = {key: _float("model", key, model[key]) for key in ("nu", "alpha", "theta1", "theta2")}
     n = _int("model", "n", model["n"])
-    try:
+    with _owned("[model]"):
         ctx = ModelContext(n=n, **params)
-    except ValueError as exc:
-        raise ConfigError(f"[model] {exc}") from None
     nonlinear = _bool("model", "nonlinear", model.get("nonlinear", "true"))
 
     time = sections["time"]
-    for key in ("dt", "T"):
-        if key not in time:
-            raise ConfigError(f"[time] {key} is required")
     dt = _float("time", "dt", time["dt"])
     horizon = _float("time", "T", time["T"])
     snapshot_every = None
     if "snapshot_every" in time:
         snapshot_every = _float("time", "snapshot_every", time["snapshot_every"])
 
-    noise = _build_noise(sections["noise"], n)
+    with _owned("[noise]"):
+        noise = _build_noise(sections["noise"], n)
     seed = _int("noise", "seed", sections["noise"].get("seed", "0"))
     if seed_override is not None:
         seed = seed_override
 
-    initial = _build_initial(sections["initial"])
+    with _owned("[initial]"):
+        initial = _build_initial(sections["initial"])
 
     monitors = []
     for kind, raw in sections.get("monitors", {}).items():
         threshold = _float("monitors", kind, raw)
-        try:
+        with _owned(f"[monitors] {kind}:"):
             monitors.append(Monitor(kind, threshold))
-        except ValueError as exc:
-            raise ConfigError(f"[monitors] {kind}: {exc}") from None
 
-    cutoff = None
-    if "cutoff" in sections:
-        if "R" not in sections["cutoff"]:
-            raise ConfigError("[cutoff] R is required when the section is present")
-        cutoff = _float("cutoff", "R", sections["cutoff"]["R"])
+    cutoff = _float("cutoff", "R", sections["cutoff"]["R"]) if "cutoff" in sections else None
 
     ens = sections.get("ensemble", {})
     size = _int("ensemble", "size", ens.get("size", "1"))

@@ -470,6 +470,10 @@ class ModelContext:
             raise ValueError("theta2 must be > 0")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        try:  # the largest norm weight |k|^{2 (theta2 + 1)}, at |k|^2 = 3 n^2
+            float(3 * self.n**2) ** (self.theta2 + 1.0)
+        except OverflowError:
+            raise ValueError("(3 n^2)^(theta2 + 1) must be a finite double") from None
 
     @property
     def lattice(self) -> Lattice:

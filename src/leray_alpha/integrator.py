@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -165,9 +166,15 @@ class RunConfig:
             raise RunConfigError("dt", "dt must be positive and finite")
         if not (self.horizon > self.dt):
             raise RunConfigError("horizon", "dt must be smaller than T, the horizon")
-        if grid_steps(self.horizon, self.dt) is None:
+        steps = grid_steps(self.horizon, self.dt)
+        if steps is None:
             raise RunConfigError(
                 "horizon", f"horizon T = {self.horizon!r} is not a whole number of steps dt = {self.dt!r}"
+            )
+        if 8 * len(SERIES_COLUMNS) * (steps + 1) > sys.maxsize:  # a member's series block, in bytes
+            raise RunConfigError(
+                "horizon",
+                f"horizon T = {self.horizon!r} is {steps} steps dt = {self.dt!r}, more than an array can hold",
             )
         if self.seed < 0:
             raise RunConfigError("seed", "seed must be >= 0")
@@ -362,7 +369,7 @@ def step(state: TrajectoryState, cfg: RunConfig) -> TrajectoryState:
     hits) when the update is not finite."""
     if state.halted is not None:
         raise ValueError("cannot step a halted trajectory")
-    (record,) = _run_lockstep([replace(cfg, snapshot_every=None)], state, state.step_index + 1)
+    (record,) = _run_lockstep(replace(cfg, snapshot_every=None), start=state, stop=state.step_index + 1)
     if not record.complete:
         return replace(state, halted=record.overflow)
     return TrajectoryState(t=float(record.t[-1]), u=record.final_field, step_index=state.step_index + 1)
@@ -382,32 +389,33 @@ def _in_process(run: Callable[[], list]) -> list:
 def run_trajectory(cfg: RunConfig) -> TrajectoryRecord:
     """Integrate one path over [0, steps * dt] in this process, recording
     norms, ledger increments and snapshots at the configured cadence."""
-    return _in_process(lambda: _run_lockstep([cfg]))[0]
+    return _in_process(lambda: _run_lockstep(cfg))[0]
 
 
 def _run_lockstep(
-    cfgs: list[RunConfig], start: TrajectoryState | None = None, stop: int | None = None
+    cfg: RunConfig, size: int = 1, start: TrajectoryState | None = None, stop: int | None = None
 ) -> list[TrajectoryRecord]:
-    """Integrate trajectories that differ only in trajectory_id in lockstep,
-    one _StepCore.advance per grid step, from the start point `start` (the
-    state every member starts from: initial_state by default) to grid step
-    `stop` (cfg.steps by default).  The blocks and the snapshot cadence count
-    from the start's step index, the cumulative integrals from 0.  A member
-    whose step is not finite leaves the live set; its record ends at its
-    last finite state, as in a run of its own, and the others carry on."""
-    cfg = cfgs[0]
+    """Integrate the trajectories cfg.trajectory_id, ...,
+    cfg.trajectory_id + size - 1 of cfg's ensemble in lockstep, one
+    _StepCore.advance per grid step, from the start point `start` (the state
+    every member starts from: initial_state by default) to grid step `stop`
+    (cfg.steps by default).  The blocks and the snapshot cadence count from
+    the start's step index, the cumulative integrals from 0.  A member whose
+    step is not finite leaves the live set; its record ends at its last
+    finite state, as in a run of its own, and the others carry on."""
+    cfgs = [replace(cfg, trajectory_id=cfg.trajectory_id + i) for i in range(size)]
     core = _StepCore(cfg)
     start = initial_state(cfg) if start is None else start  # the initial data does not depend on the id
     first, stop = start.step_index, cfg.steps if stop is None else stop
     n, steps = cfg.ctx.n, stop - first
-    u = np.repeat(start.u.coeffs[None], len(cfgs), axis=0)
+    u = np.repeat(start.u.coeffs[None], size, axis=0)
     streams = [WienerStream(c.seed, c.trajectory_id, c.noise.dim) for c in cfgs]
 
     # row k of u, series, increments and streams is member live[k]; column j
     # of the blocks is grid step first + j
-    live = list(range(len(cfgs)))
-    series = np.zeros((len(cfgs), len(SERIES_COLUMNS), steps + 1))
-    increments = np.zeros((len(cfgs), len(INCREMENT_COLUMNS), steps))
+    live = list(range(size))
+    series = np.zeros((size, len(SERIES_COLUMNS), steps + 1))
+    increments = np.zeros((size, len(INCREMENT_COLUMNS), steps))
     t = np.arange(first, stop + 1) * cfg.dt
     series[:, 0] = t
     times = t.tolist()  # halt and snapshot times, as Python floats
@@ -415,8 +423,8 @@ def _run_lockstep(
         series[:, _NORM_ROWS, 0] = core.norms(start.u.coeffs)
 
     cadence = None if cfg.snapshot_every is None else grid_steps(cfg.snapshot_every, cfg.dt)
-    snapshots = [[(times[0], start.u)] if cadence is not None else [] for _ in cfgs]
-    records: list[TrajectoryRecord | None] = [None] * len(cfgs)
+    snapshots = [[(times[0], start.u)] if cadence is not None else [] for _ in range(size)]
+    records: list[TrajectoryRecord | None] = [None] * size
 
     def finish(row: int, last: int, overflow: StoppingRecord | None) -> None:
         # Records, snapshots and final fields are views of the blocks, whose
@@ -490,8 +498,7 @@ class _Chunk:
         return self.cfg.trajectory_id
 
     def run(self) -> list:
-        first = self.cfg.trajectory_id
-        records = _run_lockstep([replace(self.cfg, trajectory_id=first + i) for i in range(self.size)])
+        records = _run_lockstep(self.cfg, self.size)
         return records if self.sink is None else self.sink(records)
 
 

@@ -231,7 +231,8 @@ class AdditiveNoise(_ModeNoise):
         out[:, self._rows] = 0.0 + amp[:, :, None] * self._vecs
         return out
 
-    def hs_norm_sq(self, u: SpectralField | None, s: float = 0.0) -> float:
+    def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
+        self._check_state(u)
         return float(np.sum(self._hs_weights(s)))
 
     def _ledger_hs_norms_sq(self, coeffs, norm_l2, norm_h1):
@@ -283,6 +284,7 @@ class DiagonalSpectralNoise(_ModeNoise):
         return out
 
     def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
+        self._check_state(u)
         return float(energies(u.coeffs[self._rows], [self._hs_weights(s)])[0])
 
     def _ledger_hs_norms_sq(self, coeffs, norm_l2, norm_h1):

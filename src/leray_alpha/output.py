@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .diagnostics import EnsembleStats, NormSeries, RegimeVerdict
-from .integrator import TrajectoryRecord
+from .integrator import SERIES_COLUMNS, TrajectoryRecord
 from .snapshots import write_atomically
 
 INCOMPLETE_MARKER = "INCOMPLETE"
@@ -20,22 +20,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# CSV header of each series row, in SERIES_COLUMNS order
-SERIES_HEADER = (
-    "t",
-    "norm_L2",
-    "norm_H1",
-    "norm_Htheta2",
-    "norm_Htheta2p1",
-    "int_diss_theta2",
-    "int_diss_theta2p1",
-    "injection_cum",
-)
+# the series CSV's header names of the SERIES_COLUMNS rows it names otherwise
+_CSV_NAMES = {
+    "norm_l2": "norm_L2",
+    "norm_h1": "norm_H1",
+    "norm_th2": "norm_Htheta2",
+    "norm_th2p1": "norm_Htheta2p1",
+    "int_diss_th2": "int_diss_theta2",
+    "int_diss_th2p1": "int_diss_theta2p1",
+}
 
 
 def write_series_csv(record: TrajectoryRecord, path: str | Path) -> None:
     """Write the record's series to path; a file at path is always complete."""
-    lines = [",".join([*SERIES_HEADER, *(f"flag_{mon.kind}" for mon in record.cfg.monitors)])]
+    header = [_CSV_NAMES.get(name, name) for name in SERIES_COLUMNS]
+    lines = [",".join([*header, *(f"flag_{mon.kind}" for mon in record.cfg.monitors)])]
     # repr of the Python floats that tolist() gives is _fmt of each value
     lines += [",".join(map(repr, row)) for row in record.series.T.tolist()]
     hits = [h.hit_time if h is not None else None for h in record.hits]

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from leray_alpha.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
+from leray_alpha import selfcheck
+from leray_alpha.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from leray_alpha.diagnostics import classify_regime
 from leray_alpha.snapshots import read_snapshot
 
@@ -144,16 +145,25 @@ def test_classify_range_syntax(tmp_path):
     assert len(rows) == 25
 
 
-@pytest.mark.parametrize("axis", ["theta1", "theta2"])
+AXIS_VALUES = ["nan", "inf", "-inf", "1e400", "0.5,nan", "", " , ", "nan:1:3", "0:inf:3", "-1e308:1e308:3"]
+AXIS_VALUES += ["0:1", "0:1:0"]  # a range of two parts, a range of no points
+# (value, axis, text the error must hold): malformed or non-finite values of
+# either axis name the flag; a theta1 outside classify_regime's domain gets
+# its owner's message, which names theta1
+CLASSIFY_REJECTIONS = [(value, axis, f"--{axis}") for value in AXIS_VALUES for axis in ("theta1", "theta2")] + [
+    ("-1", "theta1", "config error: theta1 must be >= 0")
+]
+
+
 @pytest.mark.parametrize(
-    "value", ["nan", "inf", "-inf", "1e400", "0.5,nan", "", " , ", "nan:1:3", "0:inf:3", "-1e308:1e308:3"]
+    "value, axis, named", CLASSIFY_REJECTIONS, ids=[f"{value}-{axis}" for value, axis, _ in CLASSIFY_REJECTIONS]
 )
-def test_classify_axis_rejected_before_anything_runs(tmp_path, capsys, axis, value):
+def test_classify_axis_rejected_before_anything_runs(tmp_path, capsys, value, axis, named):
     axes = {"theta1": "0.5", "theta2": "1.0", axis: value}
     out = tmp_path / "out"
     argv = ["classify", f"--theta1={axes['theta1']}", f"--theta2={axes['theta2']}", "--output", str(out)]
     assert main(argv) == EXIT_CONFIG
-    assert f"--{axis}" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -295,6 +305,24 @@ def test_check_invariants_passes(capsys):
     assert "PASS transform round-trip" in out
     assert "FAIL" not in out
     assert "all invariants hold" in out
+
+
+@pytest.mark.parametrize(
+    "error, detail",
+    [(AssertionError("patched to fail"), "patched to fail"), (RuntimeError("boom"), "unexpected RuntimeError: boom")],
+    ids=["assertion", "unexpected"],
+)
+def test_check_invariants_reports_a_failing_check(monkeypatch, capsys, error, detail):
+    def failing():
+        raise error
+
+    (name, _), *rest = selfcheck.CHECKS
+    monkeypatch.setattr(selfcheck, "CHECKS", [(name, failing), *rest])
+    assert main(["check-invariants"]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert f"FAIL {name}: {detail}" in captured.out.splitlines()
+    assert "PASS" in captured.out  # the other checks still ran
+    assert "invariant suite FAILED" in captured.err
 
 
 def test_output_env_var_default(tmp_path, monkeypatch):

@@ -61,6 +61,9 @@ RUN_KEYS = [("decay", section, key) for section, keys in BASES["decay"].items() 
 NOISE_KEYS = [case for case in RUN_KEYS if case[1] == "noise"]
 ENSEMBLE_KEYS = [case for case in RUN_KEYS if case[1] == "ensemble"]
 
+# cases whose exit code is fixed: (command, section, key, value) -> exit
+EXPECTED_EXIT = {("run", "model", "theta2", "1e308"): EXIT_CONFIG}  # its norm weights overflow
+
 COMMAND_KEYS = {"run": RUN_KEYS, "ensemble": ENSEMBLE_KEYS, "audit-noise": NOISE_KEYS}
 # (command, (base, section, key)); a flag's section is None
 CASES = [(command, case) for command, keys in COMMAND_KEYS.items() for case in keys] + [
@@ -113,7 +116,20 @@ def test_boundary_value(command, case, value, tmp_path, monkeypatch, capsys):
         code = exc.code
     err = capsys.readouterr().err
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP)
+    assert code == EXPECTED_EXIT.get((command, section, key, value), code)
     if code == EXIT_CONFIG:
         assert key.lstrip("-") in err
     elif code == EXIT_OK:
         assert outputs_are_finite(command, tmp_path)
+
+
+def test_step_count_no_array_can_hold(tmp_path, monkeypatch, capsys):
+    # 10^20 steps of dt = 1 at n = 1: rejected by the owner of T before any
+    # array is shaped, not a numpy traceback
+    base = {name: dict(keys) for name, keys in BASES["linear"].items()}
+    base["model"]["n"] = "1"
+    base["time"] = {"dt": "1.0", "T": "1e20"}
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.ini").write_text(render(base))
+    assert main(["run", "--config", "cfg.ini"]) == EXIT_CONFIG
+    assert "[time] horizon T = 1e+20 is 100000000000000000000 steps" in capsys.readouterr().err

@@ -73,6 +73,26 @@ def test_missing_required_key_names_it():
         parse_config(bad)
 
 
+@pytest.mark.parametrize("theta2, accepted", [("182.0", True), ("183.0", False), ("1e308", False)])
+def test_theta2_whose_norm_weight_overflows_rejected(theta2, accepted):
+    # the largest weight |k|^{2 (theta2 + 1)} is 48^(theta2 + 1) at n = 4,
+    # which overflows a double from theta2 + 1 = 184 on
+    text = MINIMAL.replace("theta2 = 1.0", f"theta2 = {theta2}")
+    if accepted:
+        assert parse_config(text).run.ctx.theta2 == float(theta2)
+    else:
+        with pytest.raises(ConfigError, match=r"^\[model\] \(3 n\^2\)\^\(theta2 \+ 1\) must be a finite double$"):
+            parse_config(text)
+
+
+def test_step_count_no_array_can_hold_rejected():
+    # 10^20 steps: numpy cannot shape a member's (8, steps + 1) series block
+    text = MINIMAL.replace("dt = 0.01", "dt = 1.0").replace("T = 1.0", "T = 1e20")
+    message = r"^\[time\] horizon T = 1e\+20 is 100000000000000000000 steps dt = 1.0, more than an array can hold$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
 def test_dt_not_smaller_than_horizon_rejected():
     bad = MINIMAL.replace("dt = 0.01", "dt = 2.0")
     with pytest.raises(ConfigError, match="dt must be smaller than T"):
@@ -253,3 +273,98 @@ def test_initial_data_rejected_at_parse(initial, message):
 def test_initial_mode_on_the_truncation_edge_accepted():
     text = MINIMAL.replace("kind = random\nseed = 3\nslope = 2.0", SINGLE_MODE.format("-4,4,0"))
     assert parse_config(text).run.initial.mode == (-4, 4, 0)
+
+
+# The MINIMAL document by section, for the rejection table below.
+SECTIONS = {
+    "model": {"nu": "1.0", "alpha": "1.0", "theta1": "1.0", "theta2": "1.0", "n": "4"},
+    "time": {"dt": "0.01", "T": "1.0"},
+    "noise": {"family": "linear_multiplicative", "sigma": "0.1"},
+    "initial": {"kind": "random", "seed": "3", "slope": "2.0"},
+}
+MODE_FAMILIES = ("additive", "diagonal_spectral")
+DECAY_LAW = {"sigma": "0.5", "gamma": "1.0", "driver_dim": "4"}
+
+
+def document(section: str, keys: dict | None) -> str:
+    """SECTIONS with one section's keys replaced, or the section left out
+    (keys None)."""
+    sections = {**SECTIONS, section: keys}
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items())
+        for name, body in sections.items()
+        if body is not None
+    )
+
+
+def without(section: str, key: str) -> tuple[str, dict]:
+    return section, {k: v for k, v in SECTIONS[section].items() if k != key}
+
+
+# ((section, its keys), the whole message): every missing required key and
+# every forbidden combination of keys
+REJECTIONS = [
+    *[(without("model", key), f"[model] {key} is required") for key in SECTIONS["model"]],
+    *[(without("time", key), f"[time] {key} is required") for key in SECTIONS["time"]],
+    (without("noise", "family"), "[noise] family is required"),
+    (without("initial", "kind"), "[initial] kind is required"),
+    (("cutoff", {}), "[cutoff] R is required"),
+    *[
+        (("noise", {"family": "linear_multiplicative", "sigma": "0.1", key: value}),
+         "[noise] linear_multiplicative takes only sigma (no modes/gamma/driver_dim)")
+        for key, value in (("modes", "0,0,1:0.2"), ("gamma", "1.0"), ("driver_dim", "4"))
+    ],
+    (("noise", {"family": "linear_multiplicative"}), "[noise] sigma is required for linear_multiplicative"),
+    *[
+        (("noise", {"family": family, "modes": "0,0,1:0.2", "gamma": "1.0"}),
+         "[noise] give either modes or a decay law, not both")
+        for family in MODE_FAMILIES
+    ],
+    *[
+        (("noise", {"family": family, **{k: v for k, v in DECAY_LAW.items() if k != needed}}),
+         f"[noise] {needed} is required for the decay law")
+        for family in MODE_FAMILIES
+        for needed in DECAY_LAW
+    ],
+    *[
+        (("noise", {"family": family, "sigma": "0.5"}),
+         f"[noise] {family} needs modes or a decay law (sigma, gamma, driver_dim)")
+        for family in MODE_FAMILIES
+    ],
+    (("initial", {"kind": "single_mode"}), "[initial] mode is required for kind=single_mode"),
+    *[
+        (("initial", {"kind": "single_mode", "mode": "1,0,0", key: value}),
+         f"[initial] {key} only applies to kind=random")
+        for key, value in (("seed", "3"), ("slope", "2.0"))
+    ],
+    (("initial", {"kind": "random", "mode": "1,0,0"}), "[initial] mode only applies to kind=single_mode"),
+    *[((name, None), f"missing required section [{name}]") for name in SECTIONS],
+    (("output", {"folder": "x"}), "unknown key 'folder' in section [output]"),
+    (("extras", {"foo": "1"}), "unknown section [extras]"),
+    (("noise", {"family": "brownian"}),
+     "[noise] family: unknown family 'brownian' (expected additive, linear_multiplicative or diagonal_spectral)"),
+    (("initial", {"kind": "gaussian"}), "[initial] kind: unknown kind 'gaussian' (expected single_mode or random)"),
+    (("ensemble", {"size": "0"}), "[ensemble] size must be >= 1"),
+    (("ensemble", {"workers": "0"}), "[ensemble] workers must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, keys, message",
+    [(section, keys, message) for (section, keys), message in REJECTIONS],
+    ids=[message for _, message in REJECTIONS],
+)
+def test_rejection_message(section, keys, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(document(section, keys))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["nu = 1.0\n" + document("model", SECTIONS["model"]), document("model", SECTIONS["model"]) + "[model]\nn = 2\n"],
+    ids=["key-before-any-section", "duplicate-section"],
+)
+def test_malformed_document_rejected(text):
+    with pytest.raises(ConfigError, match="^malformed config: "):
+        parse_config(text)

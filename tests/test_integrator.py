@@ -293,7 +293,7 @@ class TestOneIntegrationPath:
         state = initial_state(cfg)
         for _ in range(4):
             state = step(state, cfg)
-        (tail,) = integrator._run_lockstep([cfg], state)
+        (tail,) = integrator._run_lockstep(cfg, start=state)
         assert tail.t.tolist() == full.t[4:].tolist()
         assert tail.norms.tobytes() == full.norms[:, 4:].tobytes()
         assert tail.final_field.coeffs.tobytes() == full.final_field.coeffs.tobytes()

@@ -210,6 +210,18 @@ class TestHilbertSchmidtNorms:
         value = fam.hs_norm_sq(self.u, 0.0)
         assert value <= max(fam.sigmas) ** 2 * sobolev_norm(self.u, 0.0) ** 2 * (1 + 1e-12)
 
+    @pytest.mark.parametrize("family", [AdditiveNoise, DiagonalSpectralNoise])
+    def test_state_of_another_truncation_rejected(self, family):
+        # a family built for n = 2 would read an n = 4 state's rows as its
+        # modes' rows; hs_norm_sq rejects the state as apply does
+        fam = family(((1, 0, 0), (0, 1, 1)), (0.5, 0.2), 2)
+        message = "state truncation n=4 does not match noise n=2"
+        with pytest.raises(ValueError, match=message):
+            fam.apply(self.u, WienerIncrement(1.0, np.ones(fam.dim)))
+        for s in (0.0, 1.0):
+            with pytest.raises(ValueError, match=message):
+                fam.hs_norm_sq(self.u, s)
+
     def test_hs_identity_via_driver_sum(self):
         # oracle: sum_j ||g(u) e_j||^2 evaluated one driver at a time
         fam = DiagonalSpectralNoise(((0, 0, 1), (1, 1, 0), (2, 1, 0)), (0.5, 0.2, 0.4), 4)

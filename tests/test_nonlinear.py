@@ -441,6 +441,28 @@ class TestFftBackend:
         assert max(seen) == before + 1  # the slab loop ran on a second thread
         assert threading.active_count() == before
 
+    def test_error_on_a_kernel_thread_reaches_the_caller(self, monkeypatch, saved_fft_workers):
+        # a products callback that fails on the slab loop's second thread:
+        # _split re-raises its error here, after joining every thread, and
+        # the workspace gives the same bytes on the next call
+        ctx, gu, u = self.block16()
+        set_fft_workers(2)
+        expected = _advect_block(ctx.lattice, gu, u)
+
+        def failing(physical, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise ArithmeticError("products failed")
+            products(physical, out)
+
+        products = nonlinear._advective_products
+        monkeypatch.setattr(nonlinear, "_advective_products", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="products failed"):
+            _advect_block(ctx.lattice, gu, u)
+        assert threading.active_count() == before
+        monkeypatch.setattr(nonlinear, "_advective_products", products)
+        assert _advect_block(ctx.lattice, gu, u).tobytes() == expected.tobytes()
+
     def test_overflow_on_threads_warns_nothing(self, saved_fft_workers):
         # a blow-up step advects under np.errstate(over/invalid="ignore"),
         # which numpy keeps in a context variable: the kernel's threads must
