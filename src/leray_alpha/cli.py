@@ -65,7 +65,10 @@ def _output_dir(args: argparse.Namespace, parsed: ParsedConfig | None = None) ->
     if candidate is None:
         candidate = "out"
     directory = Path(candidate)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file of that name, or no permission
+        raise ConfigError(f"cannot create output directory {directory}: {exc}") from None
     return directory
 
 
@@ -166,8 +169,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         for t2 in theta2_values:
             try:
                 rows.append(classify_regime(t1, t2))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            except ValueError as exc:  # only theta1 has a domain there
+                raise ConfigError(f"--theta1: {exc}") from None
     outdir = _output_dir(args)
     path = outdir / "regime_map.csv"
     write_regime_csv(rows, path)

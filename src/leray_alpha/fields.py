@@ -45,11 +45,14 @@ def default_fft_workers() -> int:
 
 def _split(threads: int, count: int, work) -> None:
     """work(part, start, stop) over range(count) in up to `threads`
-    contiguous parts.  Part 0 runs on this thread; the others run on threads
-    started and joined here, so none outlives the call (a later fork copies
-    no kernel thread).  Each runs under a copy of the caller's context,
-    which holds numpy's errstate."""
+    contiguous parts.  Part 0 runs on this thread, and alone it is called
+    directly; the others run on threads started and joined here, so none
+    outlives the call (a later fork copies no kernel thread).  Each runs
+    under a copy of the caller's context, which holds numpy's errstate."""
     parts = min(threads, count)
+    if parts <= 1:
+        work(0, 0, count)
+        return
     bounds = [count * i // parts for i in range(parts + 1)]
     errors = []
 
@@ -104,8 +107,8 @@ class _GridPlan:
         self.lattice = lat
         self.ng = ng
         self.half_shape = (ng, ng, ng // 2 + 1)
-        # rfftn positions of Lattice.spectral_rows; the first lat.size are
-        # the lattice rows (canonical k3 >= 0 < ng//2)
+        # rfftn positions of Lattice.row_wavevectors: the lattice rows, then
+        # the kz = 0 mirror rows (all k3 >= 0 < ng//2)
         k = lat.row_wavevectors
         self.idx_rows = np.ravel_multi_index((np.mod(k[:, 0], ng), np.mod(k[:, 1], ng), k[:, 2]), self.half_shape)
         # signed wavenumbers of the rfftn layout, broadcastable to half_shape
@@ -118,8 +121,11 @@ class _GridPlan:
     def scatter(self, coeffs: np.ndarray) -> np.ndarray:
         """Place half-lattice coefficients (M, 3) into a (3, *half_shape)
         complex array suitable for irfftn."""
+        lat = self.lattice
         out = np.zeros((3,) + self.half_shape, dtype=np.complex128)
-        out.reshape(3, -1)[:, self.idx_rows] = self.lattice.spectral_rows(coeffs)
+        flat = out.reshape(3, -1)
+        flat[:, self.idx_rows[: lat.size]] = coeffs.T
+        flat[:, self.idx_rows[lat.size :]] = np.conj(coeffs[lat.mirror_rows]).T
         return out
 
     def gather(self, spectrum: np.ndarray) -> np.ndarray:
@@ -165,34 +171,96 @@ class _ProductGrid:
     input as on the full grid, the skipped lines are all-zero, and the result
     is bitwise equal to the _GridPlan path.
 
-    A slab's grids are (fields, ng, planes, ...), y before the x-planes, and
-    the forward y stage is (ng, 3, 2n + 1, n + 1): numpy.fft then runs each
+    The block is filled straight from the coefficient arrays: the lattice
+    rows and the conjugate kz = 0 mirror rows go to their cells through
+    precomputed flat indices, and the derivative fields i k_m v_j are formed
+    in place on the two kept x slices, [0, n] and [ng - n, ng).  A slab's grids are
+    (fields, ng, planes, ...), y before the x-planes, so numpy.fft runs each
     stage in one loop per field at most, and the c2r zero-pads kz > n
-    itself.  The x stage and the forward stages are split over the threads
-    by field, and the slab loop by slab, each thread on its own slab
-    buffers.  The c2c stages run in place on persistent buffers, so each
-    call re-zeroes the cells that no row covers, and one instance must not
-    be used by two callers at once.
+    itself.  Every stage is split over the threads along an axis it does not
+    transform: the fill by x half, the inverse x stage by field, the slab
+    loop by slab (each thread on its own slab buffers), the forward x stage
+    by y row and the forward y stage by kept kx row.  The stages run in
+    place on persistent buffers, so each call re-zeroes the cells that no
+    row covers, and one instance must not be used by two callers at once.
     """
 
     def __init__(self, lat: "Lattice"):
         n, ng = lat.n, lat.product_ng
         self.n = n
         self.ng = ng
+        self.block = np.zeros((_PRODUCT_FIELDS, ng, 2 * n + 1, n + 1), dtype=np.complex128)
+        # the derivative fields, [m, j] = block field 3 + 3 m + j
+        self.grad = self.block[3:].reshape(3, 3, ng, 2 * n + 1, n + 1)
+        # flat offsets, from a field of the block, of the three components of
+        # each spectral row: the lattice rows, then the kz = 0 mirror rows
         rows = lat.row_wavevectors
-        self.k_rows = rows.T.astype(float)
-        self.idx_block = np.ravel_multi_index(
+        cells = np.ravel_multi_index(
             (np.mod(rows[:, 0], ng), np.mod(rows[:, 1], 2 * n + 1), rows[:, 2]), (ng, 2 * n + 1, n + 1)
         )
-        k = lat.wavevectors
-        # (ky, kx, kz) of the lattice in the forward y stage
-        self.idx_gather = (np.mod(k[:, 1], ng), np.mod(k[:, 0], 2 * n + 1), k[:, 2])
-        self.x_band = np.r_[0 : n + 1, ng - n : ng]
+        idx_block = cells[:, None] + self.block[0].size * np.arange(3)
+        # the fill's two x halves of the block, [0, mid) and [mid, ng): each
+        # holds one kept x slice (kx >= 0, kx < 0) and part of the zero band.
+        # The lattice rows run in ascending kx and the mirror rows in
+        # descending kx, so the rows of a range (start, stop) of halves are
+        # one slice of each; fill_rows maps the range to them and their cells
+        k, size, mirrors = lat.wavevectors, lat.size, lat.mirror_rows
+        kx_neg = int(np.searchsorted(k[:, 0], 0))
+        mirrors_pos = int(np.count_nonzero(k[mirrors, 0] <= 0))
+        halves = {
+            (0, 1): (slice(kx_neg, size), slice(0, mirrors_pos)),
+            (1, 2): (slice(0, kx_neg), slice(mirrors_pos, len(mirrors))),
+            (0, 2): (slice(0, size), slice(0, len(mirrors))),
+        }
+        self.fill_rows = {
+            key: (lattice_rows, idx_block[lattice_rows], mirrors[part], idx_block[size:][part])
+            for key, (lattice_rows, part) in halves.items()
+        }
+        self.x_halves = (0, (2 * n + 1 + ng) // 2, ng)
+        # k_x and k_y per (x, y) cell of the block and k_z, each + 0j as a
+        # complex x float multiply casts them
+        self.kxy = np.empty((2, 1, ng, 2 * n + 1, 1), dtype=np.complex128)
+        self.kxy[0] = np.rint(np.fft.fftfreq(ng) * ng).reshape(ng, 1, 1)
+        self.kxy[1] = np.rint(np.fft.fftfreq(2 * n + 1) * (2 * n + 1)).reshape(2 * n + 1, 1)
+        self.kz = np.arange(n + 1, dtype=np.complex128)
         self.scale = _forward_scale(ng)
-        self.block = np.zeros((_PRODUCT_FIELDS, ng, 2 * n + 1, n + 1), dtype=np.complex128)
         self.forward = np.empty((3, ng, ng, n + 1), dtype=np.complex128)
+        # flat positions in self.forward of the lattice's (M, 3) coefficients
+        cells = np.ravel_multi_index((np.mod(k[:, 0], ng), np.mod(k[:, 1], ng), k[:, 2]), (ng, ng, n + 1))
+        self.idx_gather = cells[:, None] + self.forward[0].size * np.arange(3)
         # per thread of the slab loop: the y stage, physical, products, r2c output
         self.slab_buffers: list[tuple[np.ndarray, ...]] = []
+
+    def _kept_x(self, start: int, stop: int) -> list[slice]:
+        """x slices of the kept kx rows start..stop-1, in the order
+        kx = 0..n, -n..-1."""
+        n, shift = self.n, self.ng - 2 * self.n - 1
+        spans = ((start, min(stop, n + 1), 0), (max(start, n + 1), stop, shift))
+        return [slice(lo + s, hi + s) for lo, hi, s in spans if lo < hi]
+
+    def _fill(self, velocity: np.ndarray, field: np.ndarray, derivatives: bool, start: int, stop: int) -> None:
+        """x halves start..stop-1 of the block: velocity into fields 0:3, and
+        field into 3:6, or into 9:12 with the nine rows i k_m field_j in
+        3:12 when derivatives is set."""
+        n, ng = self.n, self.ng
+        x0, x1 = self.x_halves[start], self.x_halves[stop]
+        self.block[: 12 if derivatives else 6, max(x0, n + 1) : min(x1, ng - n)] = 0
+        if start == 0:
+            self.block[:, 0, 0, 0] = 0
+        rows, cells, mirrors, mirror_cells = self.fill_rows[start, stop]
+        flat = self.block.reshape(-1)
+        for first, coeffs in ((0, velocity), (9 if derivatives else 3, field)):
+            fields = flat[first * self.block[0].size :]
+            fields[cells] = coeffs[rows]
+            fields[mirror_cells] = np.conj(coeffs[mirrors])
+        if derivatives:
+            # i k_m v_j as (v_j k_m) i, the full-grid path's arithmetic and bytes
+            grad, kept = self.grad, (0, n + 1, 2 * n + 1)
+            for xs in self._kept_x(kept[start], kept[stop]):
+                v = grad[2, :, xs]
+                np.multiply(v, self.kxy[:, :, xs], out=grad[:2, :, xs])
+                np.multiply(v, self.kz, out=v)  # z last: it overwrites v's slot
+                grad[:, :, xs] *= 1j
 
     def _slab_pass(self, by_x: np.ndarray, combine, buffers: tuple, start: int, stop: int) -> None:
         """Slabs start..stop-1 of the slab loop, from the x-transformed block
@@ -216,19 +284,24 @@ class _ProductGrid:
             kept = half[..., : n + 1].view(float).transpose(0, 2, 1, 3)
             np.multiply(kept, self.scale, out=self.forward[:, x0:x1].view(float))
 
-    def transform(self, stack: np.ndarray, combine) -> np.ndarray:
-        """Half-lattice coefficients (M, 3) of the truncated spectrum of three
-        physical products.  stack holds spectral rows as made by
-        Lattice.spectral_rows();
-        combine(physical, out) writes the three pointwise products of the
-        stack's fields on one slab, physical (fields, ...), into out (3, ...)
-        of the same grid shape."""
+    def _forward_y(self, start: int, stop: int) -> None:
+        forward = self.forward
+        for xs in self._kept_x(start, stop):
+            np.fft.fft(forward[:, xs], axis=2, out=forward[:, xs])
+
+    def transform(self, velocity: np.ndarray, field: np.ndarray, combine, out: np.ndarray, derivatives: bool) -> None:
+        """Write into out (M, 3) the half-lattice coefficients of the
+        truncated spectrum of three physical products of the half-lattice
+        coefficients velocity and field (M, 3): the block holds velocity and
+        field, and with derivatives also the nine i k_m field_j (see _fill).
+        combine(physical, products) writes the three pointwise products of
+        the block's fields on one slab, physical (fields, ...), into
+        products (3, ...) of the same grid shape."""
         n, ng = self.n, self.ng
         threads = _FFT_WORKERS if ng >= _THREADED_MIN_NG else 1
-        fields = len(stack)
+        fields = 12 if derivatives else 6
         block = self.block[:fields]
-        block[:, n + 1 : ng - n] = block[:, 0, 0, 0] = 0
-        block.reshape(fields, -1)[:, self.idx_block] = stack
+        _split(threads, 2, lambda part, a, b: self._fill(velocity, field, derivatives, a, b))
         _split(threads, fields, lambda part, a, b: np.fft.ifft(block[a:b], axis=1, norm="forward", out=block[a:b]))
         slabs = -(-ng // _SLAB_DEPTH)
         size = ng * _SLAB_DEPTH
@@ -243,11 +316,9 @@ class _ProductGrid:
             )
         _split(threads, slabs, lambda part, a, b: self._slab_pass(block, combine, self.slab_buffers[part], a, b))
         forward = self.forward
-        _split(threads, 3, lambda part, a, b: np.fft.fft(forward[a:b], axis=1, out=forward[a:b]))
-        by_y = forward.transpose(2, 0, 1, 3)[:, :, self.x_band]
-        _split(threads, 3, lambda part, a, b: np.fft.fft(by_y[:, a:b], axis=0, out=by_y[:, a:b]))
-        ky, kx, kz = self.idx_gather
-        return by_y[ky, :, kx, kz]
+        _split(threads, ng, lambda part, a, b: np.fft.fft(forward[:, :, a:b], axis=1, out=forward[:, :, a:b]))
+        _split(threads, 2 * n + 1, lambda part, a, b: self._forward_y(a, b))
+        np.take(forward.reshape(-1), self.idx_gather, out=out, mode="clip")
 
 
 def _is_canonical(k1, k2, k3):
@@ -322,15 +393,6 @@ class Lattice:
             if row < self.size and self._ranks[row] == rank:
                 return row
         raise ValueError(f"wavevector {k} is not a canonical mode of n={self.n}")
-
-    def spectral_rows(self, coeffs: np.ndarray) -> np.ndarray:
-        """(3, M + mirrors) spectral rows of half-lattice coefficients (M, 3):
-        the lattice rows, then the conjugates of the kz = 0 rows, at the
-        wavevectors row_wavevectors."""
-        out = np.empty((3, len(self.row_wavevectors)), dtype=np.complex128)
-        out[:, : self.size] = coeffs.T
-        out[:, self.size :] = np.conj(coeffs[self.mirror_rows]).T
-        return out
 
     def project(self, coeffs: np.ndarray) -> None:
         """Leray projection of coefficients (M, 3) in place:

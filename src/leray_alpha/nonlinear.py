@@ -36,23 +36,16 @@ def _advective_products(physical: np.ndarray, out: np.ndarray) -> None:
 
 def _advect_block(lat: Lattice, a: np.ndarray, v: np.ndarray, project: bool = True) -> np.ndarray:
     """B(a_k, v_k) of coefficient blocks (K, M, 3), one product-grid
-    transform per member.  Unchecked: a_k must be divergence-free, and a
-    member whose products overflow gets non-finite rows instead of an error."""
+    transform per member, each written into its row of the output and
+    projected there.  Unchecked: a_k must be divergence-free, and a member
+    whose products overflow gets non-finite rows instead of an error."""
     grid = lat.product_grid()
-    # 3 velocity rows + 9 derivative rows i k_m v_j
-    stack = np.empty((12, grid.k_rows.shape[1]), dtype=np.complex128)
-    derivatives = stack[3:12].reshape(3, 3, -1)
-    # stacked at the end, so no output block is held through the transforms
-    members = []
-    for a_k, v_k in zip(a, v):
-        stack[0:3] = lat.spectral_rows(a_k)
-        np.multiply(lat.spectral_rows(v_k), grid.k_rows[:, None, :], out=derivatives)
-        derivatives *= 1j
-        coeffs = grid.transform(stack, _advective_products)
+    out = np.empty(a.shape, dtype=np.complex128)
+    for a_k, v_k, out_k in zip(a, v, out):
+        grid.transform(a_k, v_k, _advective_products, out_k, True)
         if project:
-            lat.project(coeffs)
-        members.append(coeffs)
-    return np.stack(members)
+            lat.project(out_k)
+    return out
 
 
 def advect(u: SpectralField, v: SpectralField, ctx: ModelContext, *, project: bool = True) -> SpectralField:
@@ -90,8 +83,9 @@ def pointwise_multiply(f: SpectralField, g: SpectralField, ctx: ModelContext) ->
     the lattice."""
     _check_same_truncation(f, g)
     lat = ctx.lattice
-    stack = np.concatenate([lat.spectral_rows(f.coeffs), lat.spectral_rows(g.coeffs)])
-    return SpectralField(ctx.n, lat.product_grid().transform(stack, _componentwise_products))
+    out = np.empty((lat.size, 3), dtype=np.complex128)
+    lat.product_grid().transform(f.coeffs, g.coeffs, _componentwise_products, out, False)
+    return SpectralField(ctx.n, out)
 
 
 def commutator(f: SpectralField, g: SpectralField, s: float, ctx: ModelContext) -> SpectralField:

@@ -149,9 +149,9 @@ AXIS_VALUES = ["nan", "inf", "-inf", "1e400", "0.5,nan", "", " , ", "nan:1:3", "
 AXIS_VALUES += ["0:1", "0:1:0"]  # a range of two parts, a range of no points
 # (value, axis, text the error must hold): malformed or non-finite values of
 # either axis name the flag; a theta1 outside classify_regime's domain gets
-# its owner's message, which names theta1
+# its owner's message after the flag
 CLASSIFY_REJECTIONS = [(value, axis, f"--{axis}") for value in AXIS_VALUES for axis in ("theta1", "theta2")] + [
-    ("-1", "theta1", "config error: theta1 must be >= 0")
+    ("-1", "theta1", "config error: --theta1: theta1 must be >= 0")
 ]
 
 

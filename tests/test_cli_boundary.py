@@ -123,6 +123,20 @@ def test_boundary_value(command, case, value, tmp_path, monkeypatch, capsys):
         assert outputs_are_finite(command, tmp_path)
 
 
+@pytest.mark.parametrize("command", list(COMMAND_KEYS))
+def test_output_path_that_is_a_file(command, tmp_path, monkeypatch, capsys):
+    # --output naming an existing regular file (the config itself): a config
+    # error that names the path, before anything runs, not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.ini").write_text(render(BASES["decay"]))
+    argv = [command, "--config", "cfg.ini", "--output", "cfg.ini"]
+    if command == "audit-noise":
+        argv.append("--samples=2")
+    assert main(argv) == EXIT_CONFIG
+    assert "cannot create output directory cfg.ini" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.ini"]
+
+
 def test_step_count_no_array_can_hold(tmp_path, monkeypatch, capsys):
     # 10^20 steps of dt = 1 at n = 1: rejected by the owner of T before any
     # array is shaped, not a numpy traceback

@@ -316,7 +316,8 @@ class TestProductGridKernel:
     """The pruned slab-streamed transforms equal the full-grid path bit for
     bit, on odd and even product grids."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16])
+    # n = 24: an odd 75^3 grid whose 15 slabs split 7/8 over 2 threads
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 24])
     def test_equals_full_grid(self, n, fft_workers):
         ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=n)
         u = random_field(ctx, seed=n)
@@ -327,7 +328,7 @@ class TestProductGridKernel:
         assert np.array_equal(pointwise_multiply(u, v, ctx).coeffs, full_grid_multiply(u, v, ctx))
 
     def test_product_grid_sizes(self):
-        assert [lattice(n).product_ng for n in (1, 2, 3, 4, 5, 8, 16)] == [5, 8, 12, 15, 18, 27, 50]
+        assert [lattice(n).product_ng for n in (1, 2, 3, 4, 5, 8, 16, 24)] == [5, 8, 12, 15, 18, 27, 50, 75]
 
     def test_workspace_reuse_leaks_no_state(self):
         ctxs = [ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=n) for n in (3, 4)]
@@ -344,10 +345,28 @@ class TestProductGridKernel:
                 assert np.array_equal(pointwise_multiply(u, v, c).coeffs, expected[2])
                 assert np.array_equal(advect(v, u, c, project=False).coeffs, expected[1])
 
+    @pytest.mark.parametrize("derivatives, fields", [(True, 12), (False, 6)])
+    @pytest.mark.parametrize("halves", [((0, 1), (1, 2)), ((1, 2), (0, 1))], ids=["forward", "reverse"])
+    def test_fill_halves_write_only_their_own_cells(self, derivatives, fields, halves):
+        # threads fill the block's two x halves at once, so each half must
+        # write every cell of its own x range and read only what it wrote:
+        # the halves in either order give the block one fill of both gives
+        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=5)
+        f, g = random_field(ctx, seed=5).coeffs, random_field(ctx, seed=6).coeffs
+        grid = ctx.lattice.product_grid()
+        grid.block[...] = np.nan
+        grid._fill(f, g, derivatives, 0, 2)
+        whole = grid.block[:fields].copy()
+        grid.block[...] = np.nan
+        for start, stop in halves:
+            grid._fill(f, g, derivatives, start, stop)
+        assert not np.isnan(whole).any()
+        assert grid.block[:fields].tobytes() == whole.tobytes()
+
     def test_transform_allocates_no_block_sized_output(self):
-        # a warm n=16 call peaks at 7.9 MiB, 3.4 of them the 12 input rows;
-        # it peaked at 13.1 MiB when every FFT stage allocated its output
-        # (the x stage alone 5.1 MiB)
+        # a warm n=16 call peaks at 2.45 MiB: the 0.82 MiB output and the
+        # projection's temporaries.  A 12-row stack of input rows (3.4 MiB)
+        # or a block-sized FFT output (5.1 MiB for the x stage) breaks it
         ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=16)
         u = random_field(ctx, seed=16).coeffs[None]
         gu = u * ctx.filter_multiplier[:, None]
@@ -358,7 +377,19 @@ class TestProductGridKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_block_members_equal_their_own_calls(self, threads, saved_fft_workers):
+        # n = 16 runs threaded: each member of a K = 3 call is filled and
+        # gathered into its own output row, byte for byte as alone
+        set_fft_workers(threads)
+        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=16)
+        u = np.stack([random_field(ctx, seed=s).coeffs for s in (3, 4, 5)])
+        gu = u * ctx.filter_multiplier[:, None]
+        block = _advect_block(ctx.lattice, gu, u)
+        for k in range(3):
+            assert block[k].tobytes() == _advect_block(ctx.lattice, gu[k : k + 1], u[k : k + 1])[0].tobytes()
 
 
 def scipy_full_grid_advect(sfft, u, v, ctx):
@@ -408,8 +439,10 @@ class TestFftBackend:
         return ctx, u * ctx.filter_multiplier[:, None], u
 
     def test_bytes_do_not_depend_on_threads(self, saved_fft_workers):
-        # n = 16: 12 fields, 10 slabs and 3 forward fields, which 2 and 3
-        # threads split unevenly
+        # n = 16: the fill's two x halves (17 and 16 kept x rows), 12 fields,
+        # 10 slabs, 50 y rows and 33 kept kx rows; 2 threads split the kx
+        # rows unevenly (16/17, the second part in both kept x slices) and
+        # 3 threads the slabs (3/3/4) and the y rows (16/17/17)
         ctx, gu, u = self.block16()
         f, g = random_field(ctx, seed=1), random_field(ctx, seed=2)
         results = []
