@@ -32,7 +32,7 @@ from .output import (
     write_series_csv,
     write_summary_csv,
 )
-from .snapshots import SnapshotMeta, write_snapshot
+from .snapshots import SnapshotMeta, write_atomically, write_snapshot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -185,7 +185,7 @@ def _cmd_audit_noise(args: argparse.Namespace) -> int:
     outdir = _output_dir(args, parsed)
     audit = audit_hypotheses(parsed.run.noise, parsed.run.ctx, samples=args.samples, seed=parsed.run.seed)
     text = audit.render()
-    (outdir / "noise_audit.txt").write_text(text + "\n")
+    write_atomically(outdir / "noise_audit.txt", lambda partial: partial.write_text(text + "\n"))
     print(text)
     return EXIT_OK
 

@@ -179,14 +179,17 @@ class _ProductGrid:
     stage in one loop per field at most, and the c2r zero-pads kz > n
     itself.  Every stage is split over the threads along an axis it does not
     transform: the fill by x half, the inverse x stage by field, the slab
-    loop by slab (each thread on its own slab buffers), the forward x stage
-    by y row and the forward y stage by kept kx row.  The stages run in
+    loop by x-plane (each thread walks an even share of the planes in slabs
+    of _SLAB_DEPTH, on its own slab buffers), the forward x stage by y row,
+    and the forward y stage, the gather and the optional Leray projection by
+    kept kx row, which owns the lattice rows of its kx.  The stages run in
     place on persistent buffers, so each call re-zeroes the cells that no
     row covers, and one instance must not be used by two callers at once.
     """
 
     def __init__(self, lat: "Lattice"):
         n, ng = lat.n, lat.product_ng
+        self.lattice = lat
         self.n = n
         self.ng = ng
         self.block = np.zeros((_PRODUCT_FIELDS, ng, 2 * n + 1, n + 1), dtype=np.complex128)
@@ -228,15 +231,23 @@ class _ProductGrid:
         # flat positions in self.forward of the lattice's (M, 3) coefficients
         cells = np.ravel_multi_index((np.mod(k[:, 0], ng), np.mod(k[:, 1], ng), k[:, 2]), (ng, ng, n + 1))
         self.idx_gather = cells[:, None] + self.forward[0].size * np.arange(3)
+        # the first lattice row of each kx = -n..n + 1 (the rows run in ascending kx)
+        self.kx_rows = np.searchsorted(k[:, 0], np.arange(-n, n + 2)).tolist()
         # per thread of the slab loop: the y stage, physical, products, r2c output
         self.slab_buffers: list[tuple[np.ndarray, ...]] = []
 
-    def _kept_x(self, start: int, stop: int) -> list[slice]:
-        """x slices of the kept kx rows start..stop-1, in the order
-        kx = 0..n, -n..-1."""
-        n, shift = self.n, self.ng - 2 * self.n - 1
-        spans = ((start, min(stop, n + 1), 0), (max(start, n + 1), stop, shift))
-        return [slice(lo + s, hi + s) for lo, hi, s in spans if lo < hi]
+    def _kept(self, start: int, stop: int) -> list[tuple[slice, slice]]:
+        """The kept kx rows start..stop-1, in the order kx = 0..n, -n..-1,
+        as (x slice, lattice row slice) pairs: the lattice rows of a range of
+        kx are one slice, as they run in ascending kx."""
+        n, ng, side = self.n, self.ng, 2 * self.n + 1
+        # kept row i of a span is kx = i + to_kx, at x-plane i + to_x
+        spans = ((start, min(stop, n + 1), 0, 0), (max(start, n + 1), stop, -side, ng - side))
+        return [
+            (slice(lo + to_x, hi + to_x), slice(self.kx_rows[lo + to_kx + n], self.kx_rows[hi + to_kx + n]))
+            for lo, hi, to_kx, to_x in spans
+            if lo < hi
+        ]
 
     def _fill(self, velocity: np.ndarray, field: np.ndarray, derivatives: bool, start: int, stop: int) -> None:
         """x halves start..stop-1 of the block: velocity into fields 0:3, and
@@ -256,19 +267,20 @@ class _ProductGrid:
         if derivatives:
             # i k_m v_j as (v_j k_m) i, the full-grid path's arithmetic and bytes
             grad, kept = self.grad, (0, n + 1, 2 * n + 1)
-            for xs in self._kept_x(kept[start], kept[stop]):
+            for xs, _ in self._kept(kept[start], kept[stop]):
                 v = grad[2, :, xs]
                 np.multiply(v, self.kxy[:, :, xs], out=grad[:2, :, xs])
                 np.multiply(v, self.kz, out=v)  # z last: it overwrites v's slot
                 grad[:, :, xs] *= 1j
 
     def _slab_pass(self, by_x: np.ndarray, combine, buffers: tuple, start: int, stop: int) -> None:
-        """Slabs start..stop-1 of the slab loop, from the x-transformed block
-        into their x-planes of self.forward."""
+        """x-planes start..stop-1 of the slab loop, in slabs of at most
+        _SLAB_DEPTH planes, from the x-transformed block into their x-planes
+        of self.forward."""
         n, ng = self.n, self.ng
         fields = len(by_x)
-        for x0 in range(start * _SLAB_DEPTH, min(ng, stop * _SLAB_DEPTH), _SLAB_DEPTH):
-            x1 = min(ng, x0 + _SLAB_DEPTH)
+        for x0 in range(start, stop, _SLAB_DEPTH):
+            x1 = min(stop, x0 + _SLAB_DEPTH)
             by_y, physical, products, half = (
                 buf[: rows * ng * (x1 - x0) * cols].reshape(rows, ng, x1 - x0, cols)
                 for buf, rows, cols in zip(buffers, (fields, fields, 3, 3), (n + 1, ng, ng, ng // 2 + 1))
@@ -284,28 +296,35 @@ class _ProductGrid:
             kept = half[..., : n + 1].view(float).transpose(0, 2, 1, 3)
             np.multiply(kept, self.scale, out=self.forward[:, x0:x1].view(float))
 
-    def _forward_y(self, start: int, stop: int) -> None:
+    def _finish(self, out: np.ndarray, project: bool, start: int, stop: int) -> None:
+        """The forward y stage of the kept kx rows start..stop-1, then the
+        gather of their lattice rows into out, Leray-projected if project."""
         forward = self.forward
-        for xs in self._kept_x(start, stop):
+        for xs, rows in self._kept(start, stop):
             np.fft.fft(forward[:, xs], axis=2, out=forward[:, xs])
+            np.take(forward.reshape(-1), self.idx_gather[rows], out=out[rows], mode="clip")
+            if project:
+                self.lattice.project(out, rows)
 
-    def transform(self, velocity: np.ndarray, field: np.ndarray, combine, out: np.ndarray, derivatives: bool) -> None:
+    def transform(
+        self, velocity: np.ndarray, field: np.ndarray, combine, out: np.ndarray, derivatives: bool, project: bool
+    ) -> None:
         """Write into out (M, 3) the half-lattice coefficients of the
         truncated spectrum of three physical products of the half-lattice
-        coefficients velocity and field (M, 3): the block holds velocity and
-        field, and with derivatives also the nine i k_m field_j (see _fill).
-        combine(physical, products) writes the three pointwise products of
-        the block's fields on one slab, physical (fields, ...), into
-        products (3, ...) of the same grid shape."""
+        coefficients velocity and field (M, 3), Leray-projected if project:
+        the block holds velocity and field, and with derivatives also the
+        nine i k_m field_j (see _fill).  combine(physical, products) writes
+        the three pointwise products of the block's fields on one slab,
+        physical (fields, ...), into products (3, ...) of the same grid
+        shape."""
         n, ng = self.n, self.ng
         threads = _FFT_WORKERS if ng >= _THREADED_MIN_NG else 1
         fields = 12 if derivatives else 6
         block = self.block[:fields]
         _split(threads, 2, lambda part, a, b: self._fill(velocity, field, derivatives, a, b))
         _split(threads, fields, lambda part, a, b: np.fft.ifft(block[a:b], axis=1, norm="forward", out=block[a:b]))
-        slabs = -(-ng // _SLAB_DEPTH)
         size = ng * _SLAB_DEPTH
-        while len(self.slab_buffers) < min(threads, slabs):
+        while len(self.slab_buffers) < min(threads, ng):
             self.slab_buffers.append(
                 (
                     np.empty(size * _PRODUCT_FIELDS * (n + 1), dtype=np.complex128),
@@ -314,11 +333,10 @@ class _ProductGrid:
                     np.empty(size * 3 * (ng // 2 + 1), dtype=np.complex128),
                 )
             )
-        _split(threads, slabs, lambda part, a, b: self._slab_pass(block, combine, self.slab_buffers[part], a, b))
+        _split(threads, ng, lambda part, a, b: self._slab_pass(block, combine, self.slab_buffers[part], a, b))
         forward = self.forward
         _split(threads, ng, lambda part, a, b: np.fft.fft(forward[:, :, a:b], axis=1, out=forward[:, :, a:b]))
-        _split(threads, 2 * n + 1, lambda part, a, b: self._forward_y(a, b))
-        np.take(forward.reshape(-1), self.idx_gather, out=out, mode="clip")
+        _split(threads, 2 * n + 1, lambda part, a, b: self._finish(out, project, a, b))
 
 
 def _is_canonical(k1, k2, k3):
@@ -394,12 +412,17 @@ class Lattice:
                 return row
         raise ValueError(f"wavevector {k} is not a canonical mode of n={self.n}")
 
-    def project(self, coeffs: np.ndarray) -> None:
-        """Leray projection of coefficients (M, 3) in place:
-        u_k <- u_k - (u_k . k) k / |k|^2.  Its summation order fixes the
-        sign of exactly-zero coefficients, which snapshot bytes show."""
-        dots = np.einsum("ij,ij->i", coeffs, self.kfloat)
-        coeffs -= (dots / self.k_sq)[:, None] * self.kfloat
+    def project(self, coeffs: np.ndarray, rows: slice = slice(None)) -> None:
+        """Leray projection of coefficients (M, 3) in place, of the lattice
+        rows `rows` (all by default): u_k <- u_k - (u_k . k) k / |k|^2.  Its
+        summation order fixes the sign of exactly-zero coefficients, which
+        snapshot bytes show; each row is reduced alone, so projecting the
+        rows in parts gives the bytes of one projection."""
+        part, k = coeffs[rows], self.kfloat[rows]
+        dots = np.einsum("ij,ij->i", part, k)
+        dots /= self.k_sq[rows]
+        for c in range(3):  # one component at a time: no (M, 3) temporary
+            part[:, c] -= dots * k[:, c]
 
 
 @lru_cache(maxsize=16)
@@ -653,8 +676,9 @@ def energies(coeffs: np.ndarray, weights) -> np.ndarray:
 def scalar_squares(values: np.ndarray) -> np.ndarray:
     """x ** 2 per element as a float64 scalar computes it, through the C
     library's pow.  The array square x * x differs from that in the last bit
-    for about 0.1% of doubles, which a recorded series would show."""
-    return np.array([x**2 for x in values])
+    for about 0.1% of doubles, which a recorded series would show.  values
+    may have any shape."""
+    return np.array([x**2 for x in values.ravel()]).reshape(values.shape)
 
 
 def lp_norm(field: SpectralField, p: float, grid_size: int | None = None) -> float:

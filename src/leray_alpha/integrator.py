@@ -224,6 +224,7 @@ SERIES_COLUMNS = (
 )
 INCREMENT_COLUMNS = ("mart_l2", "inj_l2", "mart_h1", "inj_h1", "adv_h1", "chi")
 _NORM_ROWS = slice(1, 5)  # norm_l2 .. norm_th2p1
+_SUM_ROWS = slice(5, 8)  # int_diss_th2 .. injection_cum
 
 
 def _named_rows(cls):
@@ -274,11 +275,27 @@ class TrajectoryRecord:
         return tuple(hits)
 
 
+def _window_block(steps: list[np.ndarray]) -> np.ndarray:
+    """The (K, W, ...) block of W per-step arrays (K, ...): a view of the one
+    array of a one-step window, which np.stack would copy."""
+    return steps[0][:, None] if len(steps) == 1 else np.stack(steps, axis=1)
+
+
 class _StepCore:
-    """Per-run constants and the one update, driven only by _run_lockstep:
-    it advances K trajectories of one setup, which differ only in
-    trajectory_id, from a (K, M, 3) state block at any grid step, so a run
-    may start from any TrajectoryState (its start point)."""
+    """Per-run constants and the two halves of a step, driven only by
+    _run_lockstep: it advances K trajectories of one setup, which differ only
+    in trajectory_id, from a (K, M, 3) state block at any grid step, so a run
+    may start from any TrajectoryState (its start point).
+
+    advance makes one step's state update.  ledger records a window of W
+    steps at once, from (K, W, M, 3) blocks of their states, noise terms and
+    advections: the norms, the ledger increments and the cumulative
+    integrals.  The cutoff, the advection and the Gaussian draws are made
+    per member (scalar math.exp, one product-grid transform per state, one
+    Philox key per stream); the rest is elementwise, a reduction along the
+    last axis of a C-contiguous block, which numpy sums per row as it would
+    for one state, or a sequential sum along the steps, so each member's
+    numbers at each step are those of a run of its own stepped alone."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -295,6 +312,13 @@ class _StepCore:
         (..., M, 3), along a last axis of length 4."""
         return np.sqrt(energies(coeffs, self.weights))
 
+    def cutoff(self, norm_h1: np.ndarray) -> np.ndarray:
+        """chi of K states from their H^1 norms (K,): ones without a cutoff."""
+        radius = self.cfg.cutoff_radius
+        if radius is None:
+            return np.ones(len(norm_h1))
+        return np.array([smooth_cutoff(x, radius) for x in norm_h1.tolist()])
+
     def increments(self, streams: list[WienerStream], step_index: int) -> np.ndarray:
         """The step's Wiener increments of K streams as one (K, dim) block:
         each stream draws into its row, then the block is scaled by sqrt(dt)
@@ -306,56 +330,73 @@ class _StepCore:
         return dw
 
     def advance(
-        self, u: np.ndarray, step_index: int, streams: list[WienerStream], rows: np.ndarray, inc: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One semi-implicit Euler-Maruyama step of K trajectories from their
-        states u (K, M, 3) at grid step step_index; streams[k] drives member
-        k.  rows is the (K, len(SERIES_COLUMNS), 2) slice of the series block
-        at grid steps (m, m + 1): column 0 is read, and column 1 gets the new
-        norms and cumulative integrals (its t is left alone).  inc (K,
-        len(INCREMENT_COLUMNS)) gets the step's ledger increments.  Returns
-        the new states and a (K,) mask of the members whose new norms are
-        finite (an advection that overflows makes them non-finite); the rows
-        and increments of the others hold garbage.
-
-        The cutoff, the advection and the Gaussian draws are made per member
-        (scalar math.exp, one product-grid transform per state, one Philox key
-        per stream); the rest is elementwise or a reduction along the last
-        axis of C-contiguous blocks, which numpy sums per row as it would for
-        one state, so each member's numbers are those of a run of its own."""
+        self, u: np.ndarray, step_index: int, streams: list[WienerStream], chi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """One semi-implicit Euler-Maruyama update of K trajectories from
+        their states u (K, M, 3) at grid step step_index, with cutoff factors
+        chi (K,); streams[k] drives member k.  Returns the new states, the
+        noise terms g(u) dW and the advections B(Gu, u) (None without
+        advection), each (K, M, 3) and fresh.  A state that overflows is not
+        an error: its new state is not finite."""
         cfg = self.cfg
-        _, l2, h1, th2, th2p1, int_th2, int_th2p1, injection = rows.swapaxes(0, 1)
-        if cfg.cutoff_radius is None:
-            chi = np.ones(len(u))
-        else:
-            chi = np.array([smooth_cutoff(x, cfg.cutoff_radius) for x in h1[:, 0].tolist()])
         with np.errstate(over="ignore", invalid="ignore"):
             # B(Gu, u), with helmholtz_filter's product for Gu
             bconv = _advect_block(self.lattice, u * self.filter, u) if cfg.nonlinear else None
-            dw = self.increments(streams, step_index)
-            gw = cfg.noise._apply_block(u, dw)
+            gw = cfg.noise._apply_block(u, self.increments(streams, step_index))
             new = u + chi[:, None, None] * gw
             if bconv is not None:
                 new -= (cfg.dt * chi)[:, None, None] * bconv
             new /= self.denom
-            norms = self.norms(new)
+        return new, gw, bconv
+
+    def ledger(
+        self,
+        states: list[np.ndarray],
+        noise_terms: list[np.ndarray],
+        advections: list[np.ndarray | None],
+        chi: np.ndarray,
+        rows: np.ndarray,
+        inc: np.ndarray,
+    ) -> np.ndarray:
+        """Record a window of W steps of K trajectories from what advance
+        made: the W + 1 state blocks (K, M, 3) of the window's grid steps,
+        and the W steps' noise terms and advections (None without
+        advection), with the window's cutoff factors chi (K,).  Each list is
+        stacked into a (K, W, M, 3) block only while it is used.  rows is
+        the (K, len(SERIES_COLUMNS), W + 1) slice of the series block at the
+        window's grid steps: column 0 is read, and columns 1..W get the new
+        norms and cumulative integrals (their t is left alone).  inc (K,
+        len(INCREMENT_COLUMNS), W) gets the steps' ledger increments.
+        Returns the (K, W) mask of the steps whose new norms are finite (an
+        advection that overflows makes them non-finite); the rows and
+        increments of the others hold garbage."""
+        cfg = self.cfg
+        chi = chi[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = self.norms(_window_block(states[1:]))
             # ||u||_0 weighs every mode, so finite norms imply a finite state
-            finite = np.isfinite(norms).all(axis=1)
-            hs_l2, hs_h1 = cfg.noise._ledger_hs_norms_sq(u, l2[:, 0], h1[:, 0])
+            finite = np.isfinite(norms).all(axis=-1)
+            rows[:, _NORM_ROWS, 1:] = norms.transpose(0, 2, 1)
+            u = _window_block(states[:-1])
+            hs_l2, hs_h1 = cfg.noise._ledger_hs_norms_sq(u, rows[:, 1, :-1], rows[:, 2, :-1])
             inj_l2 = chi * chi * hs_l2 * cfg.dt
-            mart_l2, mart_h1 = inner_products(gw, u, self.weights[:2]).T
-            adv_h1 = np.zeros(len(u))
-            if bconv is not None:
-                adv_h1 = 2.0 * chi * inner_products(bconv, u, self.weights[1:2])[:, 0] * cfg.dt
+            mart = inner_products(_window_block(noise_terms), u, self.weights[:2])
+            mart_l2, mart_h1 = mart[..., 0], mart[..., 1]
+            adv_h1 = 0.0
+            if advections[0] is not None:
+                adv_h1 = 2.0 * chi * inner_products(_window_block(advections), u, self.weights[1:2])[..., 0] * cfg.dt
             # INCREMENT_COLUMNS order
-            inc.T[:] = (2.0 * chi * mart_l2, inj_l2, 2.0 * chi * mart_h1, chi * chi * hs_h1 * cfg.dt, adv_h1, chi)
-            rows[:, _NORM_ROWS, 1] = norms
-            int_th2[:, 1] = int_th2[:, 0] + 0.5 * cfg.dt * (scalar_squares(th2[:, 0]) + scalar_squares(th2[:, 1]))
-            int_th2p1[:, 1] = int_th2p1[:, 0] + 0.5 * cfg.dt * (
-                scalar_squares(th2p1[:, 0]) + scalar_squares(th2p1[:, 1])
-            )
-            injection[:, 1] = injection[:, 0] + inj_l2
-        return new, finite
+            values = (2.0 * chi * mart_l2, inj_l2, 2.0 * chi * mart_h1, chi * chi * hs_h1 * cfg.dt, adv_h1, chi)
+            for row, value in zip(inc.swapaxes(0, 1), values):
+                row[...] = value
+            # the steps' trapezoidal dissipation integrals and injection, then
+            # their sums from column 0, step by step
+            squares = scalar_squares(rows[:, 3:5])
+            sums = rows[:, _SUM_ROWS]
+            sums[:, :2, 1:] = 0.5 * cfg.dt * (squares[..., :-1] + squares[..., 1:])
+            sums[:, 2, 1:] = inj_l2
+            np.add.accumulate(sums, axis=2, out=sums)
+        return finite
 
 
 def initial_state(cfg: RunConfig) -> TrajectoryState:
@@ -392,17 +433,33 @@ def run_trajectory(cfg: RunConfig) -> TrajectoryRecord:
     return _in_process(lambda: _run_lockstep(cfg))[0]
 
 
+# Bytes of the per-step states, noise terms and advections one ledger window
+# of _run_lockstep may hold (each also once more as a window block).  A
+# member step carries 48 bytes per mode and array: a 32-member chunk of the
+# n = 1 OU ensemble runs 6-step windows, while an n = 16 member alone is
+# 0.8 MiB a state, so its windows hold one step.
+_WINDOW_BYTES = 1 << 18
+
+
 def _run_lockstep(
     cfg: RunConfig, size: int = 1, start: TrajectoryState | None = None, stop: int | None = None
 ) -> list[TrajectoryRecord]:
     """Integrate the trajectories cfg.trajectory_id, ...,
-    cfg.trajectory_id + size - 1 of cfg's ensemble in lockstep, one
-    _StepCore.advance per grid step, from the start point `start` (the state
-    every member starts from: initial_state by default) to grid step `stop`
-    (cfg.steps by default).  The blocks and the snapshot cadence count from
-    the start's step index, the cumulative integrals from 0.  A member whose
-    step is not finite leaves the live set; its record ends at its last
-    finite state, as in a run of its own, and the others carry on."""
+    cfg.trajectory_id + size - 1 of cfg's ensemble in lockstep from the start
+    point `start` (the state every member starts from: initial_state by
+    default) to grid step `stop` (cfg.steps by default).  The blocks and the
+    snapshot cadence count from the start's step index, the cumulative
+    integrals from 0.
+
+    The steps run in windows: one _StepCore.advance per grid step, then one
+    _StepCore.ledger per window.  A window holds as many steps as
+    _WINDOW_BYTES allows for the chunk's states, noise terms and advections,
+    and one step under a cutoff, whose chi reads each step's H^1 norm.  A
+    member whose step is not finite leaves the live set at the end of the
+    window; its record ends at its last finite state, as in a run of its
+    own, and the others carry on.  Every state a window makes is a fresh
+    array that no later step writes, so records, snapshots and final fields
+    may view them."""
     cfgs = [replace(cfg, trajectory_id=cfg.trajectory_id + i) for i in range(size)]
     core = _StepCore(cfg)
     start = initial_state(cfg) if start is None else start  # the initial data does not depend on the id
@@ -410,6 +467,8 @@ def _run_lockstep(
     n, steps = cfg.ctx.n, stop - first
     u = np.repeat(start.u.coeffs[None], size, axis=0)
     streams = [WienerStream(c.seed, c.trajectory_id, c.noise.dim) for c in cfgs]
+    step_bytes = u.nbytes * (3 if cfg.nonlinear else 2)
+    window = 1 if cfg.cutoff_radius is not None else max(1, _WINDOW_BYTES // step_bytes)
 
     # row k of u, series, increments and streams is member live[k]; column j
     # of the blocks is grid step first + j
@@ -426,35 +485,55 @@ def _run_lockstep(
     snapshots = [[(times[0], start.u)] if cadence is not None else [] for _ in range(size)]
     records: list[TrajectoryRecord | None] = [None] * size
 
-    def finish(row: int, last: int, overflow: StoppingRecord | None) -> None:
-        # Records, snapshots and final fields are views of the blocks, whose
-        # other rows belong to the other members; a halting member copies
-        # its rows out, as the blocks are about to be compacted.
+    def finish(row: int, last: int, final: np.ndarray, overflow: StoppingRecord | None) -> None:
+        # Records and final fields are views of the blocks, whose other rows
+        # belong to the other members; a halting member copies its rows
+        # out, as the blocks are about to be compacted.
         member = live[row]
-        rows, incs, final = series[row, :, : last + 1], increments[row, :, :last], u[row]
+        rows, incs = series[row, :, : last + 1], increments[row, :, :last]
         if overflow is not None:
             rows, incs, final = rows.copy(), incs.copy(), final.copy()
         records[member] = TrajectoryRecord(
             cfgs[member], rows, incs, overflow, tuple(snapshots[member]), SpectralField(n, final)
         )
 
-    for j, m in enumerate(range(first, stop)):
-        new, finite = core.advance(u, m, streams, series[:, :, j : j + 2], increments[:, :, j])
-        if not finite.all():
-            for row in np.flatnonzero(~finite):
-                finish(row, j, StoppingRecord("overflow", math.inf, times[j + 1]))
-            keep = np.flatnonzero(finite)
+    j = 0  # the window's first column
+    while j < steps and live:
+        width = min(window, steps - j)
+        chi = core.cutoff(series[:, 2, j])  # from norm_h1; a window under a cutoff is one step
+        states, noise_terms, advections = [u], [], []
+        for i in range(width):
+            new, gw, bconv = core.advance(states[-1], first + j + i, streams, chi)
+            states.append(new)
+            noise_terms.append(gw)
+            advections.append(bconv)
+        del new, gw, bconv  # the lists hold them; the next window's first advance must not
+        finite = core.ledger(
+            states, noise_terms, advections, chi, series[:, :, j : j + width + 1], increments[:, :, j : j + width]
+        )
+        complete = finite.all()
+        # the steps of the window each member made before its first non-finite one
+        made = [width] * len(live) if complete else np.where(finite.all(axis=1), width, finite.argmin(axis=1)).tolist()
+        if cadence is not None:
+            for i in range(width):
+                m = first + j + i + 1
+                if m % cadence == 0 or m == stop:
+                    for row, member in enumerate(live):
+                        if made[row] > i:
+                            snapshots[member].append((times[j + i + 1], SpectralField(n, states[i + 1][row])))
+        if not complete:
+            for row, count in enumerate(made):
+                if count < width:
+                    last = j + count
+                    finish(row, last, states[count][row], StoppingRecord("overflow", math.inf, times[last + 1]))
+            keep = [row for row, count in enumerate(made) if count == width]
             live = [live[row] for row in keep]
             streams = [streams[row] for row in keep]
-            new, series, increments = new[keep], series[keep], increments[keep]
-            if not live:
-                break
-        u = new
-        if cadence is not None and ((m + 1) % cadence == 0 or m + 1 == stop):
-            for row, member in enumerate(live):
-                snapshots[member].append((times[j + 1], SpectralField(n, u[row])))
+            states[-1], series, increments = states[-1][keep], series[keep], increments[keep]
+        u = states[-1]
+        j += width
     for row in range(len(live)):
-        finish(row, steps, None)
+        finish(row, steps, u[row], None)
     return records
 
 

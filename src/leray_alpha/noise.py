@@ -118,9 +118,9 @@ class NoiseFamily:
         raise NotImplementedError
 
     def _ledger_hs_norms_sq(self, coeffs: np.ndarray, norm_l2: np.ndarray, norm_h1: np.ndarray):
-        """hs_norm_sq(u_k, 0) and hs_norm_sq(u_k, 1) of states (K, M, 3) for
-        the energy ledger, which already holds ||u_k||_0 and ||u_k||_1 (K,);
-        each is broadcastable to (K,)."""
+        """hs_norm_sq(u, 0) and hs_norm_sq(u, 1) of a block of states (..., M,
+        3) for the energy ledger, which already holds their ||u||_0 and
+        ||u||_1 (...); each is broadcastable to (...)."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -288,7 +288,8 @@ class DiagonalSpectralNoise(_ModeNoise):
         return float(energies(u.coeffs[self._rows], [self._hs_weights(s)])[0])
 
     def _ledger_hs_norms_sq(self, coeffs, norm_l2, norm_h1):
-        return energies(coeffs[:, self._rows], self._ledger_weights).T
+        hs = energies(coeffs[..., self._rows, :], self._ledger_weights)
+        return hs[..., 0], hs[..., 1]
 
 
 def decay_modes(n: int, driver_dim: int, sigma: float, gamma: float):

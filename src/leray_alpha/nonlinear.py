@@ -42,9 +42,7 @@ def _advect_block(lat: Lattice, a: np.ndarray, v: np.ndarray, project: bool = Tr
     grid = lat.product_grid()
     out = np.empty(a.shape, dtype=np.complex128)
     for a_k, v_k, out_k in zip(a, v, out):
-        grid.transform(a_k, v_k, _advective_products, out_k, True)
-        if project:
-            lat.project(out_k)
+        grid.transform(a_k, v_k, _advective_products, out_k, True, project)
     return out
 
 
@@ -84,7 +82,7 @@ def pointwise_multiply(f: SpectralField, g: SpectralField, ctx: ModelContext) ->
     _check_same_truncation(f, g)
     lat = ctx.lattice
     out = np.empty((lat.size, 3), dtype=np.complex128)
-    lat.product_grid().transform(f.coeffs, g.coeffs, _componentwise_products, out, False)
+    lat.product_grid().transform(f.coeffs, g.coeffs, _componentwise_products, out, False, False)
     return SpectralField(ctx.n, out)
 
 

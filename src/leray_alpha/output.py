@@ -20,6 +20,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Write text to path through a temporary file, so a file at path is
+    always complete."""
+    write_atomically(path, lambda partial: partial.write_text(text))
+
+
 # the series CSV's header names of the SERIES_COLUMNS rows it names otherwise
 _CSV_NAMES = {
     "norm_l2": "norm_L2",
@@ -41,8 +47,7 @@ def write_series_csv(record: TrajectoryRecord, path: str | Path) -> None:
     if hits:
         for i, t in enumerate(record.t.tolist(), start=1):
             lines[i] += "".join(",1" if hit is not None and t >= hit else ",0" for hit in hits)
-    text = "\n".join(lines) + "\n"
-    write_atomically(path, lambda partial: partial.write_text(text))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -81,18 +86,18 @@ def write_summary_csv(stats: EnsembleStats, path: str | Path) -> None:
     for name, (value, stderr) in rows:
         lines.append(f"{name},{_fmt(value)},{_fmt(stderr)}")
     lines.append(f"count,{stats.count},0")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_regime_csv(rows: list[RegimeVerdict], path: str | Path) -> None:
     lines = ["theta1,theta2,verdict"]
     for row in rows:
         lines.append(f"{_fmt(row.theta1)},{_fmt(row.theta2)},{row.verdict}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_incomplete_marker(directory: str | Path, reason: str) -> None:
-    Path(directory, INCOMPLETE_MARKER).write_text(reason + "\n")
+    _write_text(Path(directory, INCOMPLETE_MARKER), reason + "\n")
 
 
 def remove_incomplete_marker(directory: str | Path) -> None:

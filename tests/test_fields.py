@@ -148,6 +148,24 @@ class TestLerayProjection:
         v = leray_project(u)
         assert np.allclose(v.coeffs, u.coeffs, rtol=0, atol=1e-14 * np.max(np.abs(u.coeffs)))
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_rows_projected_in_parts_equal_one_projection(self, n):
+        # the product-grid kernel projects each thread's lattice rows alone;
+        # exact zeros of either sign show any change in a row's arithmetic
+        lat = lattice(n)
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((lat.size, 3)) + 1j * rng.standard_normal((lat.size, 3))
+        raw[rng.random(lat.size) < 0.5] = 0.0
+        raw[rng.random((lat.size, 3)) < 0.2] = -0.0
+        raw[lat.index_of((0, 0, 1))] = [1.0, -0.0, 0.0]  # a single-mode row
+        whole = raw.copy()
+        lat.project(whole)
+        for cut in (1, lat.size // 3, lat.size - 1):
+            parts = raw.copy()
+            lat.project(parts, slice(cut, None))
+            lat.project(parts, slice(0, cut))
+            assert parts.tobytes() == whole.tobytes()
+
     @given(seed=seeds)
     @settings(max_examples=20)
     def test_idempotent_and_divergence_free(self, seed):

@@ -29,7 +29,8 @@ from leray_alpha import (
 )
 from leray_alpha import fields, integrator, nonlinear
 from leray_alpha.fields import NonFiniteStateError, lattice, polarization
-from leray_alpha.diagnostics import NormSeries, ensemble_moments
+from leray_alpha.cli import main
+from leray_alpha.diagnostics import NormSeries, classify_regime, ensemble_moments
 from leray_alpha.integrator import (
     INCREMENT_COLUMNS,
     SERIES_COLUMNS,
@@ -39,7 +40,13 @@ from leray_alpha.integrator import (
 )
 from leray_alpha.nonlinear import leray_advection
 from leray_alpha.noise import WienerStream, decay_modes, wiener_increment
-from leray_alpha.output import TrajectoryCsvSink, write_series_csv, write_summary_csv
+from leray_alpha.output import (
+    TrajectoryCsvSink,
+    write_incomplete_marker,
+    write_regime_csv,
+    write_series_csv,
+    write_summary_csv,
+)
 
 from oracles import brute_advection
 
@@ -594,6 +601,72 @@ class TestLockstepEnsembles:
             assert_records_equal(records[other], clean[other])
 
 
+def ou_cfg():
+    # the n = 1 OU ensemble of criterion 6 over 60 steps, with snapshots
+    return RunConfig(
+        ctx=ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=1),
+        dt=0.02,
+        horizon=1.2,
+        noise=AdditiveNoise(((0, 0, 1),), (0.2,), 1),
+        initial=InitialData(kind="single_mode", mode=(0, 0, 1), amplitude=0.0),
+        seed=5,
+        nonlinear=False,
+        snapshot_every=0.1,
+    )
+
+
+WINDOW_CFGS = {
+    **{f"{name}-cutoff": (lambda noise=noise: family_cfg(noise)) for name, noise in FAMILIES.items()},
+    **{name: (lambda noise=noise: replace(family_cfg(noise), cutoff_radius=None)) for name, noise in FAMILIES.items()},
+    "blowup": blowup_ensemble_cfg,
+    "ou-n1": ou_cfg,
+}
+
+
+def record_bytes(record):
+    return [record.final_field.coeffs.tobytes(), *(u.coeffs.tobytes() for _, u in record.snapshots)]
+
+
+class TestLedgerWindows:
+    """The ledger records a window of steps at once; no window size changes
+    a byte of any record."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, None], ids=["1", "2", "3", "7", "all"])
+    @pytest.mark.parametrize("name", sorted(WINDOW_CFGS))
+    def test_windows_leave_records_unchanged(self, monkeypatch, name, width):
+        cfg = WINDOW_CFGS[name]()
+        size = 6 if name == "blowup" else 3
+        default = run_ensemble(cfg, size, workers=1)
+        widths = []
+        ledger = integrator._StepCore.ledger
+
+        def spy(self, *args):
+            widths.append(args[-1].shape[2])  # the window's increment columns
+            return ledger(self, *args)
+
+        monkeypatch.setattr(integrator._StepCore, "ledger", spy)
+        # the bytes of one step's states, noise terms and advections of the chunk
+        step_bytes = size * cfg.ctx.lattice.size * 48 * (3 if cfg.nonlinear else 2)
+        monkeypatch.setattr(integrator, "_WINDOW_BYTES", step_bytes * (width or cfg.steps))
+        records = run_ensemble(cfg, size, workers=1)
+        # a cutoff reads each step's H1 norm, so its windows hold one step
+        window = 1 if cfg.cutoff_radius is not None else width or cfg.steps
+        assert widths == [window] * (cfg.steps // window) + [cfg.steps % window] * (cfg.steps % window > 0)
+        if name == "blowup":
+            assert [r.complete for r in records] == [False, False, False, True, False, False]
+        saved = [record_bytes(r) for r in records]
+        for tid, record in enumerate(records):
+            assert_records_equal(record, default[tid])
+            series, increments, final, complete = scalar_reference(replace(cfg, trajectory_id=tid))
+            assert complete == record.complete
+            assert_same_block(record.series, series)
+            assert_same_block(record.increments, increments)
+            assert record.final_field.coeffs.tobytes() == final.tobytes()
+        # later runs allocate their own arrays: no record views one of them
+        run_ensemble(replace(cfg, seed=cfg.seed + 1), size, workers=1)
+        assert [record_bytes(r) for r in records] == saved
+
+
 class TestTrajectoryRecord:
     def test_named_rows_are_the_block_rows(self):
         record = run_trajectory(family_cfg(FAMILIES["additive"]))
@@ -648,6 +721,28 @@ class TestBatchedDraws:
                 assert row.tobytes() == wiener_increment(stream, cfg.dt, step_index).values.tobytes()
 
 
+AUDIT_CFG = """
+[model]
+nu = 1.0
+alpha = 1.0
+theta1 = 1.0
+theta2 = 1.0
+n = 1
+
+[time]
+dt = 0.02
+T = 0.1
+
+[noise]
+family = additive
+modes = 0,0,1:0.2
+
+[initial]
+kind = single_mode
+mode = 0,0,1
+"""
+
+
 def streamed_blowup_cfg():
     # monitors hit at different steps in each member before it blows up
     monitors = (Monitor("tau_R", 10.0), Monitor("rho_M", 1e3), Monitor("gamma_K", 100.0))
@@ -683,8 +778,20 @@ class TestEnsembleSink:
         write_summary_csv(ensemble_moments(slim, p=p), tmp_path / "slim.csv")
         assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "slim.csv").read_bytes()
 
-    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("writer", ["series", "summary", "regime", "incomplete", "noise-audit"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, writer):
         record = run_trajectory(linear_cfg(horizon=0.01, dt=0.005))
+        config = tmp_path / "audit.ini"
+        config.write_text(AUDIT_CFG)
+        out = tmp_path / "out"
+        out.mkdir()
+        write = {
+            "series": lambda: write_series_csv(record, out / "traj_0000.csv"),
+            "summary": lambda: write_summary_csv(ensemble_moments([record, record]), out / "summary.csv"),
+            "regime": lambda: write_regime_csv([classify_regime(1.0, 1.0)], out / "regime_map.csv"),
+            "incomplete": lambda: write_incomplete_marker(out, "trajectories 0, 1 blew up"),
+            "noise-audit": lambda: main(["audit-noise", "--config", str(config), "--samples", "2", "--output", str(out)]),
+        }[writer]
 
         def fail(self, text):
             with self.open("w") as handle:
@@ -693,8 +800,8 @@ class TestEnsembleSink:
 
         monkeypatch.setattr(type(tmp_path), "write_text", fail)
         with pytest.raises(OSError, match="disk full"):
-            write_series_csv(record, tmp_path / "traj_0000.csv")
-        assert list(tmp_path.iterdir()) == []
+            write()
+        assert list(out.iterdir()) == []
 
     def test_pool_has_no_more_processes_than_chunks(self, monkeypatch):
         started = []

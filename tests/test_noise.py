@@ -232,6 +232,26 @@ class TestHilbertSchmidtNorms:
             total += sobolev_norm(fam.apply(self.u, WienerIncrement(1.0, e)), 0.0) ** 2
         assert fam.hs_norm_sq(self.u, 0.0) == pytest.approx(total, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "family", [LinearMultiplicativeNoise(0.3), DiagonalSpectralNoise(*decay_modes(4, 12, 0.5, 1.0), 4)]
+    )
+    def test_ledger_norms_of_a_window_block_equal_its_steps(self, family):
+        # the integrator's ledger hands a family a (K, W, M, 3) block of
+        # states; each step's column equals the family's call on that step's
+        # (K, M, 3) states, and each state's value hs_norm_sq(u, s)
+        block = np.stack([[random_field(self.ctx, seed=10 * k + w).coeffs for w in range(4)] for k in range(3)])
+        norms = np.sqrt(2.0 * np.sum(np.abs(block) ** 2, axis=(2, 3)))
+        h1 = norms * 1.5
+        hs = family._ledger_hs_norms_sq(block, norms, h1)
+        assert [np.shape(value) for value in hs] == [(3, 4)] * 2
+        for w in range(4):
+            alone = family._ledger_hs_norms_sq(np.ascontiguousarray(block[:, w]), norms[:, w], h1[:, w])
+            for value, step in zip(hs, alone):
+                assert value[:, w].tobytes() == step.tobytes()
+        if isinstance(family, DiagonalSpectralNoise):
+            for s, value in zip((0.0, 1.0), hs):
+                assert value[2, 3] == family.hs_norm_sq(SpectralField(4, block[2, 3]), s)
+
     @pytest.mark.parametrize("driver_dim", [0, -1])
     def test_decay_law_needs_a_driver(self, driver_dim):
         with pytest.raises(ValueError, match=f"driver_dim must be >= 1, got {driver_dim}"):
