@@ -174,17 +174,17 @@ class _ProductGrid:
     The block is filled straight from the coefficient arrays: the lattice
     rows and the conjugate kz = 0 mirror rows go to their cells through
     precomputed flat indices, and the derivative fields i k_m v_j are formed
-    in place on the two kept x slices, [0, n] and [ng - n, ng).  A slab's grids are
-    (fields, ng, planes, ...), y before the x-planes, so numpy.fft runs each
-    stage in one loop per field at most, and the c2r zero-pads kz > n
-    itself.  Every stage is split over the threads along an axis it does not
-    transform: the fill by x half, the inverse x stage by field, the slab
-    loop by x-plane (each thread walks an even share of the planes in slabs
-    of _SLAB_DEPTH, on its own slab buffers), the forward x stage by y row,
-    and the forward y stage, the gather and the optional Leray projection by
-    kept kx row, which owns the lattice rows of its kx.  The stages run in
-    place on persistent buffers, so each call re-zeroes the cells that no
-    row covers, and one instance must not be used by two callers at once.
+    in place on the kept x slices, [0, n] and [ng - n, ng).  A slab's grids
+    are (fields, ng, planes, ...), y before the x-planes, so numpy.fft runs
+    each stage in one loop per field at most, and the c2r zero-pads kz > n
+    itself.  Each stage is split over the threads along an axis it does not
+    transform: the fill and the forward y stage, gather and projection by
+    kept kx row (which owns the lattice and mirror rows of its kx), the
+    inverse x stage by field, the slab loop by x-plane (an even share each,
+    in slabs of _SLAB_DEPTH on its own buffers) and the forward x stage by y
+    row.  The stages run in place on persistent buffers, so each call
+    re-zeroes the cells no row covers (the origin in the fill, the x zero
+    band in the x stage), and one instance must not serve two callers at once.
     """
 
     def __init__(self, lat: "Lattice"):
@@ -202,24 +202,7 @@ class _ProductGrid:
             (np.mod(rows[:, 0], ng), np.mod(rows[:, 1], 2 * n + 1), rows[:, 2]), (ng, 2 * n + 1, n + 1)
         )
         idx_block = cells[:, None] + self.block[0].size * np.arange(3)
-        # the fill's two x halves of the block, [0, mid) and [mid, ng): each
-        # holds one kept x slice (kx >= 0, kx < 0) and part of the zero band.
-        # The lattice rows run in ascending kx and the mirror rows in
-        # descending kx, so the rows of a range (start, stop) of halves are
-        # one slice of each; fill_rows maps the range to them and their cells
-        k, size, mirrors = lat.wavevectors, lat.size, lat.mirror_rows
-        kx_neg = int(np.searchsorted(k[:, 0], 0))
-        mirrors_pos = int(np.count_nonzero(k[mirrors, 0] <= 0))
-        halves = {
-            (0, 1): (slice(kx_neg, size), slice(0, mirrors_pos)),
-            (1, 2): (slice(0, kx_neg), slice(mirrors_pos, len(mirrors))),
-            (0, 2): (slice(0, size), slice(0, len(mirrors))),
-        }
-        self.fill_rows = {
-            key: (lattice_rows, idx_block[lattice_rows], mirrors[part], idx_block[size:][part])
-            for key, (lattice_rows, part) in halves.items()
-        }
-        self.x_halves = (0, (2 * n + 1 + ng) // 2, ng)
+        self.idx_rows, self.idx_mirrors = idx_block[: lat.size], idx_block[lat.size :]
         # k_x and k_y per (x, y) cell of the block and k_z, each + 0j as a
         # complex x float multiply casts them
         self.kxy = np.empty((2, 1, ng, 2 * n + 1, 1), dtype=np.complex128)
@@ -229,49 +212,61 @@ class _ProductGrid:
         self.scale = _forward_scale(ng)
         self.forward = np.empty((3, ng, ng, n + 1), dtype=np.complex128)
         # flat positions in self.forward of the lattice's (M, 3) coefficients
+        k = lat.wavevectors
         cells = np.ravel_multi_index((np.mod(k[:, 0], ng), np.mod(k[:, 1], ng), k[:, 2]), (ng, ng, n + 1))
         self.idx_gather = cells[:, None] + self.forward[0].size * np.arange(3)
-        # the first lattice row of each kx = -n..n + 1 (the rows run in ascending kx)
-        self.kx_rows = np.searchsorted(k[:, 0], np.arange(-n, n + 2)).tolist()
+        # per kx = -n..n + 1, the first lattice row of that kx (the rows run
+        # in ascending kx) and the number of mirror rows that land at kx or
+        # above (a mirror row of kx' lands at -kx', so they run in descending kx)
+        kxs = np.arange(-n, n + 2)
+        self.kx_rows = np.searchsorted(k[:, 0], kxs).tolist()
+        self.kx_mirrors = np.searchsorted(k[lat.mirror_rows, 0], -kxs, side="right").tolist()
         # per thread of the slab loop: the y stage, physical, products, r2c output
         self.slab_buffers: list[tuple[np.ndarray, ...]] = []
 
-    def _kept(self, start: int, stop: int) -> list[tuple[slice, slice]]:
+    def _kept(self, start: int, stop: int) -> list[tuple[slice, slice, slice]]:
         """The kept kx rows start..stop-1, in the order kx = 0..n, -n..-1,
-        as (x slice, lattice row slice) pairs: the lattice rows of a range of
-        kx are one slice, as they run in ascending kx."""
-        n, ng, side = self.n, self.ng, 2 * self.n + 1
-        # kept row i of a span is kx = i + to_kx, at x-plane i + to_x
-        spans = ((start, min(stop, n + 1), 0, 0), (max(start, n + 1), stop, -side, ng - side))
+        as (x slice, lattice row slice, mirror row slice) triples, one per
+        kx sign: the lattice rows and the mirror rows of a range of kx are
+        one slice each."""
+        n, ng = self.n, self.ng
+        rows, mirrors = self.kx_rows, self.kx_mirrors
+        # the kx >= 0 and kx < 0 spans of the range, from kept row i as
+        # kx + n = i + n and i - n - 1; x-plane kx mod ng = (kx + n) + to_x
+        spans = ((start + n, min(stop, n + 1) + n, -n), (max(start, n + 1) - n - 1, stop - n - 1, ng - n))
         return [
-            (slice(lo + to_x, hi + to_x), slice(self.kx_rows[lo + to_kx + n], self.kx_rows[hi + to_kx + n]))
-            for lo, hi, to_kx, to_x in spans
+            (slice(lo + to_x, hi + to_x), slice(rows[lo], rows[hi]), slice(mirrors[hi], mirrors[lo]))
+            for lo, hi, to_x in spans
             if lo < hi
         ]
 
     def _fill(self, velocity: np.ndarray, field: np.ndarray, derivatives: bool, start: int, stop: int) -> None:
-        """x halves start..stop-1 of the block: velocity into fields 0:3, and
-        field into 3:6, or into 9:12 with the nine rows i k_m field_j in
-        3:12 when derivatives is set."""
-        n, ng = self.n, self.ng
-        x0, x1 = self.x_halves[start], self.x_halves[stop]
-        self.block[: 12 if derivatives else 6, max(x0, n + 1) : min(x1, ng - n)] = 0
+        """Kept kx rows start..stop-1 of the block (see _kept): velocity into
+        fields 0:3, and field into 3:6, or into 9:12 with the nine rows
+        i k_m field_j in 3:12 when derivatives is set.  A spectral row covers
+        every cell of the kept rows but the origin, which the part holding
+        kx = 0 zeroes; the x zero band is left to _inverse_x."""
         if start == 0:
             self.block[:, 0, 0, 0] = 0
-        rows, cells, mirrors, mirror_cells = self.fill_rows[start, stop]
-        flat = self.block.reshape(-1)
-        for first, coeffs in ((0, velocity), (9 if derivatives else 3, field)):
-            fields = flat[first * self.block[0].size :]
-            fields[cells] = coeffs[rows]
-            fields[mirror_cells] = np.conj(coeffs[mirrors])
-        if derivatives:
-            # i k_m v_j as (v_j k_m) i, the full-grid path's arithmetic and bytes
-            grad, kept = self.grad, (0, n + 1, 2 * n + 1)
-            for xs, _ in self._kept(kept[start], kept[stop]):
+        flat, grad = self.block.reshape(-1), self.grad
+        for xs, rows, mirrors in self._kept(start, stop):
+            for first, coeffs in ((0, velocity), (9 if derivatives else 3, field)):
+                fields = flat[first * self.block[0].size :]
+                fields[self.idx_rows[rows]] = coeffs[rows]
+                fields[self.idx_mirrors[mirrors]] = np.conj(coeffs[self.lattice.mirror_rows[mirrors]])
+            if derivatives:
+                # i k_m v_j as (v_j k_m) i, the full-grid path's arithmetic and bytes
                 v = grad[2, :, xs]
                 np.multiply(v, self.kxy[:, :, xs], out=grad[:2, :, xs])
                 np.multiply(v, self.kz, out=v)  # z last: it overwrites v's slot
                 grad[:, :, xs] *= 1j
+
+    def _inverse_x(self, start: int, stop: int) -> None:
+        """Fields start..stop-1 of the block: re-zero their x zero band,
+        which the previous call's c2c filled, then the c2c along x in place."""
+        n, ng, fields = self.n, self.ng, self.block[start:stop]
+        fields[:, n + 1 : ng - n] = 0
+        np.fft.ifft(fields, axis=1, norm="forward", out=fields)
 
     def _slab_pass(self, by_x: np.ndarray, combine, buffers: tuple, start: int, stop: int) -> None:
         """x-planes start..stop-1 of the slab loop, in slabs of at most
@@ -297,10 +292,11 @@ class _ProductGrid:
             np.multiply(kept, self.scale, out=self.forward[:, x0:x1].view(float))
 
     def _finish(self, out: np.ndarray, project: bool, start: int, stop: int) -> None:
-        """The forward y stage of the kept kx rows start..stop-1, then the
-        gather of their lattice rows into out, Leray-projected if project."""
+        """The forward y stage of the kept kx rows start..stop-1 (see
+        _kept), then the gather of their lattice rows into out,
+        Leray-projected if project."""
         forward = self.forward
-        for xs, rows in self._kept(start, stop):
+        for xs, rows, _ in self._kept(start, stop):
             np.fft.fft(forward[:, xs], axis=2, out=forward[:, xs])
             np.take(forward.reshape(-1), self.idx_gather[rows], out=out[rows], mode="clip")
             if project:
@@ -316,13 +312,13 @@ class _ProductGrid:
         nine i k_m field_j (see _fill).  combine(physical, products) writes
         the three pointwise products of the block's fields on one slab,
         physical (fields, ...), into products (3, ...) of the same grid
-        shape."""
+        shape.  The fill and _finish split the 2n + 1 kept kx rows over the
+        threads."""
         n, ng = self.n, self.ng
         threads = _FFT_WORKERS if ng >= _THREADED_MIN_NG else 1
         fields = 12 if derivatives else 6
-        block = self.block[:fields]
-        _split(threads, 2, lambda part, a, b: self._fill(velocity, field, derivatives, a, b))
-        _split(threads, fields, lambda part, a, b: np.fft.ifft(block[a:b], axis=1, norm="forward", out=block[a:b]))
+        _split(threads, 2 * n + 1, lambda part, a, b: self._fill(velocity, field, derivatives, a, b))
+        _split(threads, fields, lambda part, a, b: self._inverse_x(a, b))
         size = ng * _SLAB_DEPTH
         while len(self.slab_buffers) < min(threads, ng):
             self.slab_buffers.append(
@@ -333,6 +329,7 @@ class _ProductGrid:
                     np.empty(size * 3 * (ng // 2 + 1), dtype=np.complex128),
                 )
             )
+        block = self.block[:fields]
         _split(threads, ng, lambda part, a, b: self._slab_pass(block, combine, self.slab_buffers[part], a, b))
         forward = self.forward
         _split(threads, ng, lambda part, a, b: np.fft.fft(forward[:, :, a:b], axis=1, out=forward[:, :, a:b]))

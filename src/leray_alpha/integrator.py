@@ -406,10 +406,12 @@ def initial_state(cfg: RunConfig) -> TrajectoryState:
 def step(state: TrajectoryState, cfg: RunConfig) -> TrajectoryState:
     """Advance one grid step, as a one-step run of _run_lockstep from state
     without snapshots, at this process's FFT thread count; raises on a
-    halted state, halts (with an overflow record, distinct from monitor
-    hits) when the update is not finite."""
+    halted state or one of another truncation, halts (with an overflow
+    record, distinct from monitor hits) when the update is not finite."""
     if state.halted is not None:
         raise ValueError("cannot step a halted trajectory")
+    if state.u.n != cfg.ctx.n:
+        raise ValueError(f"truncation mismatch: state n={state.u.n}, config n={cfg.ctx.n}")
     (record,) = _run_lockstep(replace(cfg, snapshot_every=None), start=state, stop=state.step_index + 1)
     if not record.complete:
         return replace(state, halted=record.overflow)
@@ -637,6 +639,8 @@ def run_ensemble(cfg: RunConfig, size: int, workers: int = 1, *, sink: ChunkSink
     the product-grid kernel at their share of the CPUs."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
+    if workers < 1:
+        raise ValueError("ensemble workers must be >= 1")
     chunks = _chunks(cfg, size, workers, sink)
     processes, per_child = _pool_shape(workers, len(chunks))
     if processes <= 1:

@@ -168,6 +168,13 @@ class TestStep:
         with pytest.raises(ValueError, match="halted"):
             step(dead, cfg)
 
+    def test_state_of_another_truncation_cannot_step(self):
+        # an n = 2 state's rows are other modes of an n = 4 config
+        state = initial_state(linear_cfg())
+        cfg = linear_cfg(ctx=ModelContext(nu=0.1, alpha=1.0, theta1=1.0, theta2=1.0, n=4))
+        with pytest.raises(ValueError, match="truncation mismatch: state n=2, config n=4"):
+            step(state, cfg)
+
 
 class TestRunTrajectory:
     def test_linear_decay_matches_exponential(self):
@@ -950,6 +957,15 @@ class TestEnsembles:
         )
         records = run_ensemble(cfg, 2, workers=1)
         assert not np.array_equal(records[0].norm_l2, records[1].norm_l2)
+
+    @pytest.mark.parametrize(
+        "size, workers, message",
+        [(0, 1, "size must be >= 1"), (1, 0, "workers must be >= 1"), (1, -1, "workers must be >= 1")],
+    )
+    def test_empty_ensemble_or_pool_rejected(self, size, workers, message):
+        # workers = 0 divided the CPUs by zero, and workers = -1 ran in this process
+        with pytest.raises(ValueError, match=message):
+            run_ensemble(linear_cfg(horizon=0.01, dt=0.005), size, workers=workers)
 
 
 class TestConfigValidation:

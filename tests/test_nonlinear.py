@@ -346,22 +346,54 @@ class TestProductGridKernel:
                 assert np.array_equal(advect(v, u, c, project=False).coeffs, expected[1])
 
     @pytest.mark.parametrize("derivatives, fields", [(True, 12), (False, 6)])
-    @pytest.mark.parametrize("halves", [((0, 1), (1, 2)), ((1, 2), (0, 1))], ids=["forward", "reverse"])
-    def test_fill_halves_write_only_their_own_cells(self, derivatives, fields, halves):
-        # threads fill the block's two x halves at once, so each half must
-        # write every cell of its own x range and read only what it wrote:
-        # the halves in either order give the block one fill of both gives
-        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=5)
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_fill_parts_write_only_their_own_cells(self, n, derivatives, fields):
+        # threads fill ranges of kept kx rows at once, so each part must
+        # write every cell of its own x-planes and no other cell (the x zero
+        # band included), and read only what it wrote: at every split point
+        # each part alone fills just its planes, and the two parts in either
+        # order give the block one fill of all rows gives
+        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=n)
         f, g = random_field(ctx, seed=5).coeffs, random_field(ctx, seed=6).coeffs
         grid = ctx.lattice.product_grid()
+        side, ng = 2 * n + 1, grid.ng
+        planes = np.r_[0 : n + 1, ng - n : ng]  # the x-plane of each kept row
         grid.block[...] = np.nan
-        grid._fill(f, g, derivatives, 0, 2)
+        grid._fill(f, g, derivatives, 0, side)
         whole = grid.block[:fields].copy()
-        grid.block[...] = np.nan
-        for start, stop in halves:
-            grid._fill(f, g, derivatives, start, stop)
-        assert not np.isnan(whole).any()
-        assert grid.block[:fields].tobytes() == whole.tobytes()
+        for split in range(1, side):
+            for start, stop in (0, split), (split, side):
+                grid.block[...] = np.nan
+                grid._fill(f, g, derivatives, start, stop)
+                own = np.isin(np.arange(ng), planes[start:stop])
+                assert not np.isnan(grid.block[:fields, own]).any(), (split, start)
+                assert np.isnan(grid.block[:fields, ~own]).all(), (split, start)
+            for parts in ((0, split), (split, side)), ((split, side), (0, split)):
+                grid.block[...] = np.nan
+                for start, stop in parts:
+                    grid._fill(f, g, derivatives, start, stop)
+                assert grid.block[:fields].tobytes() == whole.tobytes(), (split, parts)
+
+    def test_inverse_x_zeroes_only_its_own_fields_band(self):
+        # the inverse x stage splits by field: each part re-zeroes the band
+        # of its own fields only, and the parts give the bytes of one stage
+        n = 5
+        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=n)
+        f, g = random_field(ctx, seed=5).coeffs, random_field(ctx, seed=6).coeffs
+        grid = ctx.lattice.product_grid()
+        band = slice(n + 1, grid.ng - n)
+        grid._fill(f, g, True, 0, 2 * n + 1)
+        filled = grid.block.copy()
+        grid._inverse_x(0, 12)
+        whole = grid.block.copy()
+        grid.block[...] = filled
+        grid.block[:, band] = np.nan
+        grid._inverse_x(4, 9)
+        assert np.isnan(grid.block[:4, band]).all() and np.isnan(grid.block[9:, band]).all()
+        assert grid.block[4:9].tobytes() == whole[4:9].tobytes()
+        for start, stop in (0, 4), (9, 12):
+            grid._inverse_x(start, stop)
+        assert grid.block.tobytes() == whole.tobytes()
 
     def test_transform_allocates_no_block_sized_output(self):
         # a warm n=16 call peaks at 1.23 MiB: the 0.82 MiB output and the
@@ -380,7 +412,7 @@ class TestProductGridKernel:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_block_members_equal_their_own_calls(self, threads, saved_fft_workers):
         # n = 16 runs threaded: each member of a K = 3 call is filled and
         # gathered into its own output row, byte for byte as alone
@@ -440,14 +472,15 @@ class TestFftBackend:
         return ctx, u * ctx.filter_multiplier[:, None], u
 
     def test_bytes_do_not_depend_on_threads(self, saved_fft_workers):
-        # n = 16: the fill's two x halves (17 and 16 kept x rows), 12 fields,
-        # 10 slabs, 50 y rows and 33 kept kx rows; 2 threads split the kx
-        # rows unevenly (16/17, the second part in both kept x slices) and
-        # 3 threads the slabs (3/3/4) and the y rows (16/17/17)
+        # n = 16: 33 kept kx rows (the fill and the forward y stage), 12
+        # fields, 50 x-planes and 50 y rows; 2 threads split the kx rows
+        # unevenly (16/17, the second part in both kept x slices), 3 threads
+        # the x-planes and the y rows (16/17/17), and 4 threads, as each child
+        # of a 2-process pool gets on 8 CPUs, the kx rows 8/8/8/9
         ctx, gu, u = self.block16()
         f, g = random_field(ctx, seed=1), random_field(ctx, seed=2)
         results = []
-        for threads in (1, 2, 3):
+        for threads in (1, 2, 3, 4):
             set_fft_workers(threads)
             results.append(
                 (
