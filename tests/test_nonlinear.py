@@ -346,6 +346,25 @@ class TestProductGridKernel:
                 assert np.array_equal(advect(v, u, c, project=False).coeffs, expected[1])
 
     @pytest.mark.parametrize("derivatives, fields", [(True, 12), (False, 6)])
+    @pytest.mark.parametrize("halves", [((0, 6), (6, 11)), ((6, 11), (0, 6))], ids=["forward", "reverse"])
+    def test_fill_halves_write_only_their_own_cells(self, derivatives, fields, halves):
+        # two threads fill the kx >= 0 and the kx < 0 kept rows at once, so
+        # each half must write every cell of its own x-planes and read only
+        # what it wrote: the halves in either order give the block one fill
+        # of both gives
+        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=5)
+        f, g = random_field(ctx, seed=5).coeffs, random_field(ctx, seed=6).coeffs
+        grid = ctx.lattice.product_grid()
+        grid.block[...] = np.nan
+        grid._fill(f, g, derivatives, 0, 11)
+        whole = grid.block[:fields].copy()
+        grid.block[...] = np.nan
+        for start, stop in halves:
+            grid._fill(f, g, derivatives, start, stop)
+        assert not np.isnan(whole[:, np.r_[0:6, 13:18]]).any()
+        assert grid.block[:fields].tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("derivatives, fields", [(True, 12), (False, 6)])
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_fill_parts_write_only_their_own_cells(self, n, derivatives, fields):
         # threads fill ranges of kept kx rows at once, so each part must
