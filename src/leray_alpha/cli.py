@@ -72,25 +72,20 @@ def _output_dir(args: argparse.Namespace, parsed: ParsedConfig | None = None) ->
     return directory
 
 
-def _write_snapshots(record, outdir: Path, prefix: str = "snapshot") -> None:
-    ctx = record.cfg.ctx
-    for t, field in record.snapshots:
-        step_index = int(round(t / record.cfg.dt))
-        meta = SnapshotMeta(
-            n=ctx.n, nu=ctx.nu, alpha=ctx.alpha, theta1=ctx.theta1, theta2=ctx.theta2, t=t
-        )
-        write_snapshot(field, meta, outdir / f"{prefix}_{step_index:08d}.snap")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     parsed = _load(args)
     outdir = _output_dir(args, parsed)
     remove_incomplete_marker(outdir)
-    for stale in outdir.glob("snapshot_*.snap"):  # this run writes its own
-        stale.unlink()
-    record = run_trajectory(parsed.run)
+    for stale in [outdir / "series.csv", *outdir.glob("snapshot_*.snap")]:  # this run writes its own
+        stale.unlink(missing_ok=True)
+    ctx = parsed.run.ctx
+
+    def snapshot(member: int, step_index: int, t: float, field) -> None:
+        meta = SnapshotMeta(n=ctx.n, nu=ctx.nu, alpha=ctx.alpha, theta1=ctx.theta1, theta2=ctx.theta2, t=t)
+        write_snapshot(field, meta, outdir / f"snapshot_{step_index:08d}.snap")
+
+    record = run_trajectory(parsed.run, snapshot=snapshot)
     write_series_csv(record, outdir / "series.csv")
-    _write_snapshots(record, outdir)
     if not record.complete:
         write_incomplete_marker(outdir, f"numerical blow-up at t={record.overflow.hit_time}")
         print(f"blow-up halt at t={record.overflow.hit_time}; partial series written", file=sys.stderr)

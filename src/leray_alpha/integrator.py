@@ -429,10 +429,15 @@ def _in_process(run: Callable[[], list]) -> list:
         set_fft_workers(previous)
 
 
-def run_trajectory(cfg: RunConfig) -> TrajectoryRecord:
+# receives each snapshot as the runner reaches it: member, grid step, t, state
+SnapshotSink = Callable[[int, int, float, SpectralField], object]
+
+
+def run_trajectory(cfg: RunConfig, snapshot: SnapshotSink | None = None) -> TrajectoryRecord:
     """Integrate one path over [0, steps * dt] in this process, recording
-    norms, ledger increments and snapshots at the configured cadence."""
-    return _in_process(lambda: _run_lockstep(cfg))[0]
+    norms, ledger increments and snapshots at the configured cadence: into
+    the record, or handed to snapshot as each is reached."""
+    return _in_process(lambda: _run_lockstep(cfg, snapshot=snapshot))[0]
 
 
 # Bytes of the per-step states, noise terms and advections one ledger window
@@ -444,14 +449,20 @@ _WINDOW_BYTES = 1 << 18
 
 
 def _run_lockstep(
-    cfg: RunConfig, size: int = 1, start: TrajectoryState | None = None, stop: int | None = None
+    cfg: RunConfig,
+    size: int = 1,
+    start: TrajectoryState | None = None,
+    stop: int | None = None,
+    snapshot: SnapshotSink | None = None,
 ) -> list[TrajectoryRecord]:
     """Integrate the trajectories cfg.trajectory_id, ...,
     cfg.trajectory_id + size - 1 of cfg's ensemble in lockstep from the start
     point `start` (the state every member starts from: initial_state by
-    default) to grid step `stop` (cfg.steps by default).  The blocks and the
-    snapshot cadence count from the start's step index, the cumulative
-    integrals from 0.
+    default) to grid step `stop` (cfg.steps by default).  The blocks count
+    from the start's step index, the cumulative integrals from 0.  Snapshots
+    (the start, before the first step; the multiples of the cadence, from
+    step 3 at cadence 2: 3, 4, 6, ...; the stop) go to `snapshot` once their
+    window is known finite, or by default into the records.
 
     The steps run in windows: one _StepCore.advance per grid step, then one
     _StepCore.ledger per window.  A window holds as many steps as
@@ -484,7 +495,11 @@ def _run_lockstep(
         series[:, _NORM_ROWS, 0] = core.norms(start.u.coeffs)
 
     cadence = None if cfg.snapshot_every is None else grid_steps(cfg.snapshot_every, cfg.dt)
-    snapshots = [[(times[0], start.u)] if cadence is not None else [] for _ in range(size)]
+    snapshots = [[] for _ in range(size)]
+    snapshot = snapshot or (lambda member, m, t, field: snapshots[member].append((t, field)))
+    if cadence is not None:
+        for member in range(size):
+            snapshot(member, first, times[0], start.u)
     records: list[TrajectoryRecord | None] = [None] * size
 
     def finish(row: int, last: int, final: np.ndarray, overflow: StoppingRecord | None) -> None:
@@ -522,7 +537,7 @@ def _run_lockstep(
                 if m % cadence == 0 or m == stop:
                     for row, member in enumerate(live):
                         if made[row] > i:
-                            snapshots[member].append((times[j + i + 1], SpectralField(n, states[i + 1][row])))
+                            snapshot(member, m, times[j + i + 1], SpectralField(n, states[i + 1][row]))
         if not complete:
             for row, count in enumerate(made):
                 if count < width:

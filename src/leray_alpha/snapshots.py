@@ -71,8 +71,13 @@ def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -
     if meta.n != field.n:
         raise ValueError(f"meta truncation n={meta.n} does not match field n={field.n}")
     header = _HEADER.pack(MAGIC, VERSION, meta.n, meta.nu, meta.alpha, meta.theta1, meta.theta2, meta.t)
-    payload = np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes()
-    write_atomically(path, lambda partial: partial.write_bytes(header + payload))
+    payload = np.ascontiguousarray(field.coeffs, dtype="<c16")  # a view of the state, not a copy
+
+    def write(partial: Path) -> None:
+        with partial.open("wb") as handle:
+            handle.writelines((header, payload))
+
+    write_atomically(path, write)
 
 
 def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:

@@ -2,14 +2,16 @@
 
 import math
 import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
-from leray_alpha import selfcheck
+from leray_alpha import integrator, selfcheck
 from leray_alpha.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from leray_alpha.diagnostics import classify_regime
+from leray_alpha.fields import lattice
 from leray_alpha.snapshots import read_snapshot
 
 DECAY_CFG = """
@@ -427,6 +429,50 @@ def test_shorter_run_deletes_the_longer_ones_snapshots(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["series.csv", "snapshot_00000000.snap", "snapshot_00000004.snap"]
     _, rows = read_csv(out / "series.csv")
     assert len(rows) == 5
+
+
+def test_interrupted_run_keeps_the_snapshots_it_reached(tmp_path, monkeypatch):
+    # an earlier, complete run of 4 steps, then the golden run stopped
+    # during step 10: the snapshots of steps 0, 4 and 8 are on disk and
+    # nothing of the earlier run is left beside them
+    text = (GOLDEN / "run.ini").read_text()
+    out = tmp_path / "out"
+    short = tmp_path / "short.ini"
+    short.write_text(text.replace("T = 0.2", "T = 0.08"))
+    assert main(["run", "--config", str(short), "--output", str(out)]) == EXIT_OK
+    advance = integrator._StepCore.advance
+
+    def interrupted(self, u, step_index, *args):
+        if step_index == 9:
+            raise KeyboardInterrupt
+        return advance(self, u, step_index, *args)
+
+    monkeypatch.setattr(integrator._StepCore, "advance", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", str(GOLDEN / "run.ini"), "--output", str(out)])
+    names = [f"snapshot_{m:08d}.snap" for m in (0, 4, 8)]
+    assert sorted(p.name for p in out.iterdir()) == names  # no series.csv, no temporary file
+    for name in names:
+        assert (out / name).read_bytes() == (GOLDEN / "run" / name).read_bytes()
+
+
+def test_run_holds_no_snapshot_until_the_end(tmp_path):
+    # a warm n = 8 run snapshotted at each of its 40 steps peaks less than 4
+    # states above the same run snapshotted at 0 and T only
+    text = (GOLDEN / "run.ini").read_text().replace("n = 2", "n = 8").replace("T = 0.2", "T = 0.8")
+    peaks = []
+    for every in ("0.02", "0.8", "0.02"):  # the first run warms the caches
+        cfg = tmp_path / f"every{every}.ini"
+        cfg.write_text(text.replace("snapshot_every = 0.08", f"snapshot_every = {every}"))
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")]) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    state_bytes = 3 * 16 * lattice(8).size
+    assert len(list((tmp_path / "out").glob("snapshot_*.snap"))) == 41
+    assert peaks[2] - peaks[1] < 4 * state_bytes
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1", "1.5", ""])

@@ -229,6 +229,15 @@ class TestRunTrajectory:
         assert times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         for t, field in record.snapshots:
             assert isinstance(field, SpectralField)
+        # a sink receives the same snapshots with their steps, and the record keeps none
+        handed = []
+        sunk = run_trajectory(cfg, snapshot=lambda *snap: handed.append(snap))
+        cadence = round(0.25 / cfg.dt)
+        assert [(member, m) for member, m, _, _ in handed] == [(0, i * cadence) for i in range(5)]
+        assert [(t, u.coeffs.tobytes()) for _, _, t, u in handed] == [
+            (t, u.coeffs.tobytes()) for t, u in record.snapshots
+        ]
+        assert sunk.snapshots == () and sunk.series.tobytes() == record.series.tobytes()
 
     def test_overflow_halts_with_partial_record(self):
         # explicit advection with an absurd dt blows up within a few steps
@@ -293,7 +302,8 @@ class TestOneIntegrationPath:
         assert state.u.coeffs.tobytes() == record.final_field.coeffs.tobytes()
 
     def test_runner_started_mid_run_continues_the_path(self):
-        # the start point's state and step index fix the rest of the path
+        # the start point's state and step index fix the rest of the path;
+        # its snapshots are the start, then the multiples of the cadence
         cfg = RunConfig(
             ctx=ModelContext(nu=0.5, alpha=1.0, theta1=1.0, theta2=1.0, n=3),
             dt=0.02,
@@ -305,14 +315,19 @@ class TestOneIntegrationPath:
         )
         full = run_trajectory(cfg)
         state = initial_state(cfg)
-        for _ in range(4):
-            state = step(state, cfg)
-        (tail,) = integrator._run_lockstep(cfg, start=state)
-        assert tail.t.tolist() == full.t[4:].tolist()
-        assert tail.norms.tobytes() == full.norms[:, 4:].tobytes()
-        assert tail.final_field.coeffs.tobytes() == full.final_field.coeffs.tobytes()
-        later = [(t, u.coeffs.tobytes()) for t, u in full.snapshots if t >= state.t]
-        assert [(t, u.coeffs.tobytes()) for t, u in tail.snapshots] == later
+        for first, steps in ((3, [3, 4, 6]), (4, [4, 6])):  # off and on the cadence of 2 steps
+            while state.step_index < first:
+                state = step(state, cfg)
+            (tail,) = integrator._run_lockstep(cfg, start=state)
+            assert tail.t.tolist() == full.t[first:].tolist()
+            assert tail.norms.tobytes() == full.norms[:, first:].tobytes()
+            assert tail.final_field.coeffs.tobytes() == full.final_field.coeffs.tobytes()
+            later = [(t, u.coeffs.tobytes()) for t, u in full.snapshots if t > state.t]
+            expected = [(state.t, state.u.coeffs.tobytes()), *later]
+            assert [(t, u.coeffs.tobytes()) for t, u in tail.snapshots] == expected
+            handed = []
+            integrator._run_lockstep(cfg, start=state, snapshot=lambda member, m, t, u: handed.append(m))
+            assert handed == steps + list(range(8, cfg.steps + 1, 2))
 
     def test_step_and_run_trajectory_halt_at_same_step(self):
         cfg = self.blowup_cfg()

@@ -81,12 +81,14 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
     ctx = ModelContext(nu=0.7, alpha=1.2, theta1=0.25, theta2=1.25, n=3)
     meta = SnapshotMeta(n=3, nu=0.7, alpha=1.2, theta1=0.25, theta2=1.25, t=0.375)
 
-    def fail(self, data):
-        with self.open("wb") as handle:
-            handle.write(data[: len(data) // 2])
+    real_open = type(tmp_path).open
+
+    def fail(self, mode="r", *args, **kwargs):  # the header goes out, then the disk is full
+        with real_open(self, mode, *args, **kwargs) as handle:
+            handle.write(b"LERA")
         raise OSError("disk full")
 
-    monkeypatch.setattr(type(tmp_path), "write_bytes", fail)
+    monkeypatch.setattr(type(tmp_path), "open", fail)
     with pytest.raises(OSError, match="disk full"):
         write_snapshot(random_field(ctx, seed=9), meta, tmp_path / "state.snap")
     assert list(tmp_path.iterdir()) == []
