@@ -2,12 +2,14 @@
 
 Each case in tests/data/golden is a config `<case>.ini` and the directory
 `<case>/` of the files its command wrote: `series.csv` and snapshots of a
-`run`, or `traj_NNNN.csv` and `summary.csv` of a 3-member `ensemble`, one
-per noise family.  A change that alters any output byte fails here.  When a
-format change is intended, regenerate a case with
+`run`, `traj_NNNN.csv` and `summary.csv` of a 3-member `ensemble`, or
+`noise_audit.txt` of `audit-noise`; the last two have one case per noise
+family.  The command is the case name up to its last `-`.  A change that
+alters any output byte fails here.  When a format change is intended,
+regenerate a case with
 
-    python -m leray_alpha <run|ensemble> --config tests/data/golden/<case>.ini \
-        --output tests/data/golden/<case>
+    python -m leray_alpha <run|ensemble|audit-noise> \
+        --config tests/data/golden/<case>.ini --output tests/data/golden/<case>
 
 and say in the change which bytes moved and why.
 """
@@ -24,6 +26,9 @@ CASES = sorted(path.stem for path in GOLDEN.glob("*.ini"))
 
 def test_every_noise_family_has_a_case():
     assert CASES == [
+        "audit-noise-additive",
+        "audit-noise-diagonal_spectral",
+        "audit-noise-linear_multiplicative",
         "ensemble-additive",
         "ensemble-diagonal_spectral",
         "ensemble-linear_multiplicative",
@@ -34,7 +39,7 @@ def test_every_noise_family_has_a_case():
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_equal_fixtures(tmp_path, case, workers):
-    command = case.split("-")[0]
+    command = case.rsplit("-", 1)[0]
     out = tmp_path / "out"
     args = [command, "--config", str(GOLDEN / f"{case}.ini"), "--workers", workers, "--output", str(out)]
     assert main(args) == EXIT_OK
