@@ -27,7 +27,6 @@ from .noise import (
     AdditiveNoise,
     DiagonalSpectralNoise,
     LinearMultiplicativeNoise,
-    WienerIncrement,
     WienerStream,
     audit_hypotheses,
     wiener_increment,
@@ -75,7 +74,6 @@ __all__ = [
     "AdditiveNoise",
     "DiagonalSpectralNoise",
     "LinearMultiplicativeNoise",
-    "WienerIncrement",
     "WienerStream",
     "audit_hypotheses",
     "wiener_increment",

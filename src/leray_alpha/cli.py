@@ -4,7 +4,8 @@ Subcommands: run (one trajectory), ensemble (Monte-Carlo batch), classify
 (regime table over a parameter grid), audit-noise (hypothesis envelopes of
 the configured noise family) and check-invariants (built-in invariant
 suite).  Exit codes: 0 success, 2 configuration error, 3 numerical blow-up,
-4 invariant-suite failure.
+4 invariant-suite failure.  run and ensemble mark their output directory
+INCOMPLETE before they write into it, and drop the mark once they finish.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _output_dir(args: argparse.Namespace, parsed: ParsedConfig | None = None) ->
 def _cmd_run(args: argparse.Namespace) -> int:
     parsed = _load(args)
     outdir = _output_dir(args, parsed)
-    remove_incomplete_marker(outdir)
+    write_incomplete_marker(outdir, "started, not finished")  # first, so that even a SIGKILL leaves it
     for stale in [outdir / "series.csv", *outdir.glob("snapshot_*.snap")]:  # this run writes its own
         stale.unlink(missing_ok=True)
     ctx = parsed.run.ctx
@@ -90,6 +91,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         write_incomplete_marker(outdir, f"numerical blow-up at t={record.overflow.hit_time}")
         print(f"blow-up halt at t={record.overflow.hit_time}; partial series written", file=sys.stderr)
         return EXIT_BLOWUP
+    remove_incomplete_marker(outdir)
     print(f"wrote {outdir / 'series.csv'} ({len(record.t)} rows)")
     return EXIT_OK
 
@@ -97,18 +99,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     parsed = _load(args)
     outdir = _output_dir(args, parsed)
-    remove_incomplete_marker(outdir)
+    write_incomplete_marker(outdir, "started, not finished")
+    summary = outdir / "summary.csv"
+    summary.unlink(missing_ok=True)  # an earlier run's; written again below
     remove_stale_trajectory_csvs(outdir, parsed.ensemble_size)
     cfg = replace(parsed.run, snapshot_every=None)
     # the chunks write their trajectory CSVs and return only the norm rows
     norms = run_ensemble(cfg, parsed.ensemble_size, parsed.workers, sink=TrajectoryCsvSink(outdir))
     halted = [r.trajectory_id for r in norms if not r.complete]
     completed = len(norms) - len(halted)
-    summary = outdir / "summary.csv"
     if completed:
         write_summary_csv(ensemble_moments(norms, p=args.moment), summary)  # over the complete members
-    else:
-        summary.unlink(missing_ok=True)  # one left by an earlier run
     if halted:
         ids = ", ".join(map(str, halted))
         note = (
@@ -119,6 +120,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         write_incomplete_marker(outdir, f"numerical blow-up in trajectories: {ids}; {note}")
         print(f"blow-up halt in trajectories {ids}; partial outputs written", file=sys.stderr)
         return EXIT_BLOWUP
+    remove_incomplete_marker(outdir)
     print(f"wrote {len(norms)} trajectories and {summary}")
     return EXIT_OK
 

@@ -572,13 +572,6 @@ class ModelContext:
         """Diagonal symbol |k|^{2 theta2} of the fractional dissipation."""
         return self.lattice.power(2.0 * self.theta2)
 
-    def smoothing_gain(self, beta: float) -> float:
-        """Sharp constant sup_k |k|^beta / (1 + alpha^{2 theta1} |k|^{2 theta1})
-        over the truncation lattice (operator norm H^s -> H^{s+beta} of the
-        smoother)."""
-        lat = self.lattice
-        return float(np.max(lat.power(beta) * self.filter_multiplier))
-
 
 @lru_cache(maxsize=32)
 def _filter_multiplier(n: int, alpha: float, theta1: float) -> np.ndarray:
@@ -684,11 +677,7 @@ def lp_norm(field: SpectralField, p: float, grid_size: int | None = None) -> flo
     to quadrature accuracy."""
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1 or inf")
-    return _lp_of_magnitude(to_grid(field, grid_size), p)
-
-
-def _lp_of_magnitude(values: np.ndarray, p: float) -> float:
-    """L^p norm (normalised measure) of the pointwise |.| of grid samples (3, ...)."""
+    values = to_grid(field, grid_size)
     mag = np.sqrt(np.sum(values * values, axis=0))
     if p == math.inf:
         return float(np.max(mag))

@@ -322,7 +322,7 @@ class _StepCore:
     def increments(self, streams: list[WienerStream], step_index: int) -> np.ndarray:
         """The step's Wiener increments of K streams as one (K, dim) block:
         each stream draws into its row, then the block is scaled by sqrt(dt)
-        once, which gives wiener_increment's values without its checks."""
+        once: row k is stream k's wiener_increment, without its checks."""
         dw = np.empty((len(streams), self.cfg.noise.dim))
         for row, stream in zip(dw, streams):
             stream._draw(step_index, row)
@@ -378,7 +378,9 @@ class _StepCore:
             finite = np.isfinite(norms).all(axis=-1)
             rows[:, _NORM_ROWS, 1:] = norms.transpose(0, 2, 1)
             u = _window_block(states[:-1])
-            hs_l2, hs_h1 = cfg.noise._ledger_hs_norms_sq(u, rows[:, 1, :-1], rows[:, 2, :-1])
+            # ||g(u)||_HS^2 and ||Lambda g(u)||_HS^2 of the steps' states, from their ||u||_0, ||u||_1
+            hs = cfg.noise._hs_norms_sq(u, (0.0, 1.0), np.moveaxis(rows[:, 1:3, :-1], 1, -1))
+            hs_l2, hs_h1 = hs[..., 0], hs[..., 1]
             inj_l2 = chi * chi * hs_l2 * cfg.dt
             mart = inner_products(_window_block(noise_terms), u, self.weights[:2])
             mart_l2, mart_h1 = mart[..., 0], mart[..., 1]

@@ -68,26 +68,14 @@ class WienerStream:
         return self._normal.standard_normal(out=out)
 
 
-@dataclass(frozen=True)
-class WienerIncrement:
-    dt: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float, copy=True)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-def wiener_increment(stream: WienerStream, dt: float, step: int) -> WienerIncrement:
-    """Gaussian increments with variance dt per driver dimension,
+def wiener_increment(stream: WienerStream, dt: float, step: int) -> np.ndarray:
+    """The (dim,) Gaussian increments with variance dt per driver dimension,
     deterministic in (master seed, trajectory id, step)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if step < 0:
         raise ValueError("step index must be >= 0")
-    draws = stream._draw(step, np.empty(stream.dim))
-    return WienerIncrement(dt, draws * math.sqrt(dt))
+    return stream._draw(step, np.empty(stream.dim)) * math.sqrt(dt)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +84,8 @@ def wiener_increment(stream: WienerStream, dt: float, step: int) -> WienerIncrem
 
 class NoiseFamily:
     """Base for concrete noise coefficient realisations.  A family computes
-    g(u) dW and the ledger's Hilbert-Schmidt norms for a block of K states
-    (K, M, 3) at once; apply() is the one-state case."""
+    g(u) dW and the Hilbert-Schmidt norms for a block of states at once;
+    apply() and hs_norm_sq() are the one-state cases."""
 
     kind: str = "abstract"
 
@@ -105,32 +93,32 @@ class NoiseFamily:
     def dim(self) -> int:
         raise NotImplementedError
 
-    def apply(self, u: SpectralField, incr: WienerIncrement) -> SpectralField:
-        self._check_increment(incr)
+    def apply(self, u: SpectralField, dw: np.ndarray) -> SpectralField:
+        """g(u) dW for one state and its increment dw (dim,)."""
+        dw = np.asarray(dw, dtype=float)
+        if dw.shape != (self.dim,):
+            raise ValueError(f"increment dimension {dw.shape} does not match driver dimension {self.dim}")
         self._check_state(u)
-        return SpectralField(u.n, self._apply_block(u.coeffs[None], incr.values[None])[0])
+        return SpectralField(u.n, self._apply_block(u.coeffs[None], dw[None])[0])
 
     def _apply_block(self, coeffs: np.ndarray, increments: np.ndarray) -> np.ndarray:
         """g(u_k) dW_k for states (K, M, 3) and their increments (K, dim)."""
         raise NotImplementedError
 
     def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
-        raise NotImplementedError
+        """||Lambda^s g(u)||_HS^2 = sum_j ||g(u) e_j||_s^2 of one state."""
+        self._check_state(u)
+        return float(self._hs_norms_sq(u.coeffs, (s,), np.array([sobolev_norm(u, s)]))[0])
 
-    def _ledger_hs_norms_sq(self, coeffs: np.ndarray, norm_l2: np.ndarray, norm_h1: np.ndarray):
-        """hs_norm_sq(u, 0) and hs_norm_sq(u, 1) of a block of states (..., M,
-        3) for the energy ledger, which already holds their ||u||_0 and
-        ||u||_1 (...); each is broadcastable to (...)."""
+    def _hs_norms_sq(self, coeffs: np.ndarray, orders: tuple[float, ...], norms: np.ndarray) -> np.ndarray:
+        """The family's Hilbert-Schmidt formula: ||Lambda^s g(u)||_HS^2 of a
+        block of states (..., M, 3) for each order s in orders, given their
+        ||u||_s (..., len(orders)); broadcastable to (..., len(orders)).
+        hs_norm_sq and the integrator's energy ledger (s = 0, 1) call it."""
         raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
-
-    def _check_increment(self, incr: WienerIncrement) -> None:
-        if incr.values.shape != (self.dim,):
-            raise ValueError(
-                f"increment dimension {incr.values.shape} does not match driver dimension {self.dim}"
-            )
 
     def _check_state(self, u: SpectralField) -> None:
         pass
@@ -169,7 +157,6 @@ class _ModeNoise(NoiseFamily):
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _k_sq: np.ndarray = field(init=False, repr=False, compare=False)
     _sigmas: np.ndarray = field(init=False, repr=False, compare=False)
-    _ledger_weights: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         modes, sigmas = _normalize_modes(self.modes, self.sigmas, self.n)
@@ -181,15 +168,13 @@ class _ModeNoise(NoiseFamily):
         object.__setattr__(self, "_sigmas", np.asarray(sigmas))
         # the energy ledger's s = 0 and 1 weights, and their sums, must be finite doubles
         with np.errstate(over="ignore"):
-            weights = (self._hs_weights(0.0), self._hs_weights(1.0))
-            finite = all(np.isfinite(w.sum()) for w in weights)
+            finite = all(np.isfinite(w.sum()) for w in self._hs_weights((0.0, 1.0)))
         if not finite:
             raise ValueError("amplitudes sigma_j too large: the ledger weights sigma_j^2 |k_j|^{2s} overflow")
-        object.__setattr__(self, "_ledger_weights", weights)
 
-    def _hs_weights(self, s: float) -> np.ndarray:
-        """sigma_j^2 |k_j|^{2s} per driver."""
-        return self._sigmas**2 * self._k_sq**s
+    def _hs_weights(self, orders: tuple[float, ...]) -> list[np.ndarray]:
+        """sigma_j^2 |k_j|^{2s} per driver, for each order s."""
+        return [self._sigmas**2 * self._k_sq**s for s in orders]
 
     @property
     def dim(self) -> int:
@@ -211,18 +196,16 @@ class AdditiveNoise(_ModeNoise):
 
     kind: str = field(default="additive", init=False)
     _vecs: np.ndarray = field(init=False, repr=False, compare=False)
-    _ledger_hs: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
         vecs = np.stack([polarization(k) for k in self.modes]) / math.sqrt(2.0)
         object.__setattr__(self, "_vecs", vecs)
-        # the state-independent ledger norms
-        object.__setattr__(self, "_ledger_hs", tuple(float(np.sum(w)) for w in self._ledger_weights))
 
-    # each family carries apply in its own namespace, where perfbench/spans.py
-    # times the layer
+    # each family carries apply and hs_norm_sq in its own namespace, where
+    # perfbench/spans.py times the layer
     apply = NoiseFamily.apply
+    hs_norm_sq = NoiseFamily.hs_norm_sq
 
     def _apply_block(self, coeffs: np.ndarray, increments: np.ndarray) -> np.ndarray:
         out = np.zeros(coeffs.shape, dtype=np.complex128)
@@ -231,12 +214,9 @@ class AdditiveNoise(_ModeNoise):
         out[:, self._rows] = 0.0 + amp[:, :, None] * self._vecs
         return out
 
-    def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
-        self._check_state(u)
-        return float(np.sum(self._hs_weights(s)))
-
-    def _ledger_hs_norms_sq(self, coeffs, norm_l2, norm_h1):
-        return self._ledger_hs
+    def _hs_norms_sq(self, coeffs, orders, norms):
+        # sum_j sigma_j^2 |k_j|^{2s}, whatever the state (the f_j have unit norm)
+        return np.array([np.sum(w) for w in self._hs_weights(orders)])
 
 
 @dataclass(frozen=True)
@@ -255,15 +235,14 @@ class LinearMultiplicativeNoise(NoiseFamily):
         return 1
 
     apply = NoiseFamily.apply
+    hs_norm_sq = NoiseFamily.hs_norm_sq
 
     def _apply_block(self, coeffs: np.ndarray, increments: np.ndarray) -> np.ndarray:
         return (self.sigma * increments[:, 0])[:, None, None] * coeffs
 
-    def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
-        return self.sigma**2 * sobolev_norm(u, s) ** 2
-
-    def _ledger_hs_norms_sq(self, coeffs, norm_l2, norm_h1):
-        return self.sigma**2 * scalar_squares(norm_l2), self.sigma**2 * scalar_squares(norm_h1)
+    def _hs_norms_sq(self, coeffs, orders, norms):
+        # sigma^2 ||u||_s^2
+        return self.sigma**2 * scalar_squares(norms)
 
     def describe(self) -> str:
         return f"linear-multiplicative[sigma={self.sigma:g}]"
@@ -276,6 +255,7 @@ class DiagonalSpectralNoise(_ModeNoise):
     kind: str = field(default="diagonal-spectral", init=False)
 
     apply = NoiseFamily.apply
+    hs_norm_sq = NoiseFamily.hs_norm_sq
 
     def _apply_block(self, coeffs: np.ndarray, increments: np.ndarray) -> np.ndarray:
         out = np.zeros_like(coeffs)
@@ -283,13 +263,9 @@ class DiagonalSpectralNoise(_ModeNoise):
         out[:, self._rows] = scale[:, :, None] * coeffs[:, self._rows]
         return out
 
-    def hs_norm_sq(self, u: SpectralField, s: float = 0.0) -> float:
-        self._check_state(u)
-        return float(energies(u.coeffs[self._rows], [self._hs_weights(s)])[0])
-
-    def _ledger_hs_norms_sq(self, coeffs, norm_l2, norm_h1):
-        hs = energies(coeffs[..., self._rows, :], self._ledger_weights)
-        return hs[..., 0], hs[..., 1]
+    def _hs_norms_sq(self, coeffs, orders, norms):
+        # the energy of u's +-k_j pairs weighted by sigma_j^2 |k_j|^{2s}
+        return energies(coeffs[..., self._rows, :], self._hs_weights(orders))
 
 
 def decay_modes(n: int, driver_dim: int, sigma: float, gamma: float):
@@ -340,12 +316,8 @@ class NoiseAudit:
 def _hs_distance(family: NoiseFamily, u: SpectralField, v: SpectralField) -> float:
     """||g(u) - g(v)||_HS via unit increments along each driver."""
     total = 0.0
-    for j in range(family.dim):
-        e = np.zeros(family.dim)
-        e[j] = 1.0
-        incr = WienerIncrement(1.0, e)
-        diff = family.apply(u, incr) - family.apply(v, incr)
-        total += sobolev_norm(diff, 0.0) ** 2
+    for e in np.eye(family.dim):
+        total += sobolev_norm(family.apply(u, e) - family.apply(v, e), 0.0) ** 2
     return math.sqrt(total)
 
 
@@ -361,6 +333,8 @@ def audit_hypotheses(
     with the scale is flagged."""
     if samples < 2:
         raise ValueError("need at least 2 samples per scale")
+    if len(scales) < 2:
+        raise ValueError("need at least 2 norm scales: the verdict compares the two largest")
     growth0, growth1, lips = [], [], []
     for si, scale in enumerate(scales):
         g0 = g1 = lp = 0.0

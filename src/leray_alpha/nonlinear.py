@@ -16,7 +16,6 @@ from .fields import (
     ModelContext,
     SpectralField,
     _check_same_truncation,
-    _lp_of_magnitude,
     fractional_laplacian,
     helmholtz_filter,
     inner_product,
@@ -94,25 +93,3 @@ def commutator(f: SpectralField, g: SpectralField, s: float, ctx: ModelContext) 
     first = fractional_laplacian(pointwise_multiply(f, g, ctx), s)
     second = pointwise_multiply(f, fractional_laplacian(g, s), ctx)
     return first - second
-
-
-def convective_commutator(a: SpectralField, v: SpectralField, s: float, ctx: ModelContext) -> SpectralField:
-    """[Lambda^s, a . grad] v = Lambda^s((a . grad) v) - (a . grad)(Lambda^s v),
-    the object controlling H^s energy estimates of the advection term."""
-    if s < 0:
-        raise ValueError("commutator order s must be >= 0")
-    first = fractional_laplacian(advect(a, v, ctx, project=False), s)
-    second = advect(a, fractional_laplacian(v, s), ctx, project=False)
-    return first - second
-
-
-def gradient_lp_norm(field: SpectralField, p: float, ctx: ModelContext) -> float:
-    """L^p norm of the pointwise Frobenius norm of grad u (normalised
-    measure), used by the commutator-estimate audits."""
-    lat = ctx.lattice
-    plan = lat.plan(lat.transform_ng)
-    spec = plan.scatter(field.coeffs)
-    stack = np.empty((9,) + plan.half_shape, dtype=np.complex128)
-    for m, km in enumerate((plan.kx, plan.ky, plan.kz)):
-        stack[3 * m : 3 * m + 3] = (1j * km) * spec
-    return _lp_of_magnitude(plan.to_physical(stack), p)

@@ -101,5 +101,5 @@ def write_incomplete_marker(directory: str | Path, reason: str) -> None:
 
 
 def remove_incomplete_marker(directory: str | Path) -> None:
-    """Drop a marker left by an earlier run into the same directory."""
+    """Drop the marker of a finished run."""
     Path(directory, INCOMPLETE_MARKER).unlink(missing_ok=True)

@@ -433,8 +433,8 @@ def test_shorter_run_deletes_the_longer_ones_snapshots(tmp_path):
 
 def test_interrupted_run_keeps_the_snapshots_it_reached(tmp_path, monkeypatch):
     # an earlier, complete run of 4 steps, then the golden run stopped
-    # during step 10: the snapshots of steps 0, 4 and 8 are on disk and
-    # nothing of the earlier run is left beside them
+    # during step 10: the snapshots of steps 0, 4 and 8 are on disk beside
+    # the marker of a started run, and nothing of the earlier run is left
     text = (GOLDEN / "run.ini").read_text()
     out = tmp_path / "out"
     short = tmp_path / "short.ini"
@@ -451,9 +451,40 @@ def test_interrupted_run_keeps_the_snapshots_it_reached(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         main(["run", "--config", str(GOLDEN / "run.ini"), "--output", str(out)])
     names = [f"snapshot_{m:08d}.snap" for m in (0, 4, 8)]
-    assert sorted(p.name for p in out.iterdir()) == names  # no series.csv, no temporary file
+    assert sorted(p.name for p in out.iterdir()) == ["INCOMPLETE", *names]  # no series.csv, no temporary file
+    assert (out / "INCOMPLETE").read_text() == "started, not finished\n"
     for name in names:
         assert (out / name).read_bytes() == (GOLDEN / "run" / name).read_bytes()
+
+
+def test_interrupted_ensemble_marks_the_mix_of_two_runs(tmp_path, monkeypatch):
+    # a complete seed-1 ensemble, then a seed-2 one into the same directory,
+    # stopped after its first one-member chunk: the seed-1 files of ids 1
+    # and 2 are still there, but the directory says it is partial, and no
+    # summary of either run is left
+    from leray_alpha import cli
+    from leray_alpha.output import TrajectoryCsvSink
+
+    out = tmp_path / "out"
+    args = ["ensemble", "--config", str(GOLDEN / "ensemble-additive.ini"), "--workers", "1", "--output", str(out)]
+    assert main([*args, "--seed", "1"]) == EXIT_OK
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(first) == ["summary.csv", "traj_0000.csv", "traj_0001.csv", "traj_0002.csv"]
+
+    class InterruptedSink(TrajectoryCsvSink):
+        def __call__(self, records):
+            if records[0].trajectory_id > 0:
+                raise KeyboardInterrupt
+            return super().__call__(records)
+
+    monkeypatch.setattr(integrator, "_CHUNK_BYTES", 1)  # one member per chunk, all in this process
+    monkeypatch.setattr(cli, "TrajectoryCsvSink", InterruptedSink)
+    with pytest.raises(KeyboardInterrupt):
+        main([*args, "--seed", "2"])
+    assert sorted(p.name for p in out.iterdir()) == ["INCOMPLETE", "traj_0000.csv", "traj_0001.csv", "traj_0002.csv"]
+    assert (out / "INCOMPLETE").read_text() == "started, not finished\n"
+    assert (out / "traj_0000.csv").read_bytes() != first["traj_0000.csv"]  # seed 2's
+    assert (out / "traj_0001.csv").read_bytes() == first["traj_0001.csv"]
 
 
 def test_run_holds_no_snapshot_until_the_end(tmp_path):

@@ -444,7 +444,7 @@ def scalar_reference(cfg):
                 bconv = leray_advection(SpectralField(cfg.ctx.n, u), cfg.ctx).coeffs if cfg.nonlinear else None
             except NonFiniteStateError:
                 break
-            gw, hs_l2, hs_h1 = scalar_noise(cfg.noise, u, wiener_increment(stream, cfg.dt, m).values, l2, h1)
+            gw, hs_l2, hs_h1 = scalar_noise(cfg.noise, u, wiener_increment(stream, cfg.dt, m), l2, h1)
             new = u + chi * gw
             if bconv is not None:
                 new = new - (cfg.dt * chi) * bconv
@@ -740,7 +740,7 @@ class TestBatchedDraws:
             block = core.increments(streams, step_index)
             assert block.shape == (3, noise.dim)
             for row, stream in zip(block, streams):
-                assert row.tobytes() == wiener_increment(stream, cfg.dt, step_index).values.tobytes()
+                assert row.tobytes() == wiener_increment(stream, cfg.dt, step_index).tobytes()
 
 
 AUDIT_CFG = """

@@ -15,7 +15,6 @@ from leray_alpha import (
     LinearMultiplicativeNoise,
     ModelContext,
     SpectralField,
-    WienerIncrement,
     WienerStream,
     audit_hypotheses,
     random_field,
@@ -29,7 +28,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def _draw_three(stream):
-    return [wiener_increment(stream, 0.01, m).values for m in range(3)]
+    return [wiener_increment(stream, 0.01, m) for m in range(3)]
 
 
 class TestWienerIncrements:
@@ -44,15 +43,15 @@ class TestWienerIncrements:
         stream = WienerStream(42, 7, 3)
         a = wiener_increment(stream, 0.01, 5)
         b = wiener_increment(WienerStream(42, 7, 3), 0.01, 5)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_distinct_steps_and_trajectories_differ(self):
         stream = WienerStream(42, 7, 3)
         a = wiener_increment(stream, 0.01, 5)
         b = wiener_increment(stream, 0.01, 6)
         c = wiener_increment(WienerStream(42, 8, 3), 0.01, 5)
-        assert not np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("dim", [1, 3, 300])
     def test_reused_generator_equals_fresh_one(self, dim):
@@ -66,11 +65,11 @@ class TestWienerIncrements:
 
         stream = WienerStream(42, 7, dim)
         for step in (0, 1, 2, 2**40, 1, 0, 2**40, 2):
-            assert np.array_equal(wiener_increment(stream, 0.01, step).values, fresh(step))
+            assert np.array_equal(wiener_increment(stream, 0.01, step), fresh(step))
 
     def test_pickled_stream_draws_in_a_pool(self):
         stream = WienerStream(42, 7, 3)
-        expected = [wiener_increment(stream, 0.01, m).values for m in range(3)]
+        expected = [wiener_increment(stream, 0.01, m) for m in range(3)]
         with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
             drawn = pool.submit(_draw_three, stream).result(timeout=60)
         assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
@@ -80,15 +79,15 @@ class TestWienerIncrements:
         dt = 0.02
         n_draws = 10**5
         stream = WienerStream(2024, 0, 1)
-        draws = np.array([wiener_increment(stream, dt, m).values[0] for m in range(n_draws)])
+        draws = np.array([wiener_increment(stream, dt, m)[0] for m in range(n_draws)])
         assert abs(np.mean(draws)) <= 4 * math.sqrt(dt / n_draws)
         assert abs(np.var(draws) - dt) <= 0.05 * dt
 
     def test_cross_trajectory_correlation_small(self):
         dt = 1.0
         n_draws = 10**5
-        a = np.array([wiener_increment(WienerStream(9, 0, 1), dt, m).values[0] for m in range(n_draws)])
-        b = np.array([wiener_increment(WienerStream(9, 1, 1), dt, m).values[0] for m in range(n_draws)])
+        a = np.array([wiener_increment(WienerStream(9, 0, 1), dt, m)[0] for m in range(n_draws)])
+        b = np.array([wiener_increment(WienerStream(9, 1, 1), dt, m)[0] for m in range(n_draws)])
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) < 4 / math.sqrt(n_draws)
 
@@ -100,19 +99,19 @@ class TestFamilies:
 
     def test_linear_multiplicative_scaling_exact(self):
         fam = LinearMultiplicativeNoise(0.3)
-        incr = WienerIncrement(1.0, np.array([1.7]))
-        out = fam.apply(self.u, incr)
+        dw = np.array([1.7])
+        out = fam.apply(self.u, dw)
         assert np.array_equal(out.coeffs, 0.3 * 1.7 * self.u.coeffs)
 
     def test_additive_zero_amplitudes(self):
         fam = AdditiveNoise(((0, 0, 1), (1, 1, 0)), (0.0, 0.0), 4)
-        incr = WienerIncrement(1.0, np.array([2.0, -3.0]))
-        assert np.max(np.abs(fam.apply(self.u, incr).coeffs)) == 0.0
+        dw = np.array([2.0, -3.0])
+        assert np.max(np.abs(fam.apply(self.u, dw).coeffs)) == 0.0
 
     def test_additive_unit_norm_fields(self):
         fam = AdditiveNoise(((0, 0, 1),), (1.0,), 4)
-        incr = WienerIncrement(1.0, np.array([1.0]))
-        out = fam.apply(SpectralField.zero(4), incr)
+        dw = np.array([1.0])
+        out = fam.apply(SpectralField.zero(4), dw)
         assert sobolev_norm(out, 0.0) == pytest.approx(1.0, rel=1e-14)
         assert out.divergence_defect() <= 1e-15
 
@@ -120,12 +119,12 @@ class TestFamilies:
         # a negative increment times a zero polarisation component is -0.0;
         # added into the zero field it becomes +0.0, and snapshots keep signs
         fam = AdditiveNoise(((0, 0, 1), (1, 1, 0)), (0.3, 0.2), 4)
-        incr = WienerIncrement(1.0, np.array([-1.5, -0.5]))
-        out = fam.apply(SpectralField.zero(4), incr).coeffs
+        dw = np.array([-1.5, -0.5])
+        out = fam.apply(SpectralField.zero(4), dw).coeffs
         expected = np.zeros((lattice(4).size, 3), dtype=complex)
         rows = [lattice(4).index_of(k) for k in fam.modes]
         vecs = np.stack([polarization(k) for k in fam.modes]) / math.sqrt(2.0)
-        np.add.at(expected, rows, (np.asarray(fam.sigmas) * incr.values)[:, None] * vecs)
+        np.add.at(expected, rows, (np.asarray(fam.sigmas) * dw)[:, None] * vecs)
         assert out.tobytes() == expected.tobytes()
         parts = out.view(float)
         assert not np.signbit(parts[parts == 0.0]).any()
@@ -136,13 +135,13 @@ class TestFamilies:
         coeffs = np.zeros((lattice(4).size, 3), dtype=complex)
         coeffs[lattice(4).index_of((1, 1, 0))] = [0.5, -0.5, 0.0]
         u = SpectralField(4, coeffs)
-        incr = WienerIncrement(1.0, np.array([1.3]))
-        assert np.max(np.abs(fam.apply(u, incr).coeffs)) == 0.0
+        dw = np.array([1.3])
+        assert np.max(np.abs(fam.apply(u, dw).coeffs)) == 0.0
 
     def test_dimension_mismatch_rejected(self):
         fam = AdditiveNoise(((0, 0, 1),), (1.0,), 4)
         with pytest.raises(ValueError, match="dimension"):
-            fam.apply(self.u, WienerIncrement(1.0, np.array([1.0, 2.0])))
+            fam.apply(self.u, np.array([1.0, 2.0]))
 
     def test_mode_outside_truncation_rejected(self):
         with pytest.raises(ValueError, match="outside the truncation"):
@@ -165,8 +164,8 @@ class TestFamilies:
         fam = AdditiveNoise(((0, 0, 1), (1, 0, 0)), (0.4, 0.2), 3)
         w1 = np.array([1.0, -2.0])
         w2 = np.array([0.5, 3.0])
-        lhs = fam.apply(u, WienerIncrement(1.0, a * w1 + b * w2))
-        rhs = a * fam.apply(u, WienerIncrement(1.0, w1)) + b * fam.apply(u, WienerIncrement(1.0, w2))
+        lhs = fam.apply(u, a * w1 + b * w2)
+        rhs = a * fam.apply(u, w1) + b * fam.apply(u, w2)
         assert np.allclose(lhs.coeffs, rhs.coeffs, rtol=0, atol=1e-14)
 
     def test_range_divergence_free(self):
@@ -175,8 +174,8 @@ class TestFamilies:
             LinearMultiplicativeNoise(0.2),
             DiagonalSpectralNoise(((0, 0, 1), (1, 1, 0)), (0.3, 0.1), 4),
         ):
-            incr = WienerIncrement(1.0, np.ones(fam.dim))
-            out = fam.apply(self.u, incr)
+            dw = np.ones(fam.dim)
+            out = fam.apply(self.u, dw)
             assert out.divergence_defect() <= 1e-12
 
 
@@ -217,40 +216,41 @@ class TestHilbertSchmidtNorms:
         fam = family(((1, 0, 0), (0, 1, 1)), (0.5, 0.2), 2)
         message = "state truncation n=4 does not match noise n=2"
         with pytest.raises(ValueError, match=message):
-            fam.apply(self.u, WienerIncrement(1.0, np.ones(fam.dim)))
+            fam.apply(self.u, np.ones(fam.dim))
         for s in (0.0, 1.0):
             with pytest.raises(ValueError, match=message):
                 fam.hs_norm_sq(self.u, s)
 
     def test_hs_identity_via_driver_sum(self):
-        # oracle: sum_j ||g(u) e_j||^2 evaluated one driver at a time
-        fam = DiagonalSpectralNoise(((0, 0, 1), (1, 1, 0), (2, 1, 0)), (0.5, 0.2, 0.4), 4)
-        total = 0.0
-        for j in range(fam.dim):
-            e = np.zeros(fam.dim)
-            e[j] = 1.0
-            total += sobolev_norm(fam.apply(self.u, WienerIncrement(1.0, e)), 0.0) ** 2
-        assert fam.hs_norm_sq(self.u, 0.0) == pytest.approx(total, rel=1e-12)
+        # oracle: sum_j ||g(u) e_j||_s^2 evaluated one driver at a time
+        # through apply, which shares nothing with the families' formulas
+        modes, sigmas = ((0, 0, 1), (1, 1, 0), (2, 1, 0)), (0.5, 0.2, 0.4)
+        for fam in (
+            AdditiveNoise(modes, sigmas, 4),
+            LinearMultiplicativeNoise(0.3),
+            DiagonalSpectralNoise(modes, sigmas, 4),
+        ):
+            for s in (0.0, 1.0):
+                total = sum(sobolev_norm(fam.apply(self.u, e), s) ** 2 for e in np.eye(fam.dim))
+                assert fam.hs_norm_sq(self.u, s) == pytest.approx(total, rel=1e-12), (fam.kind, s)
 
     @pytest.mark.parametrize(
         "family", [LinearMultiplicativeNoise(0.3), DiagonalSpectralNoise(*decay_modes(4, 12, 0.5, 1.0), 4)]
     )
     def test_ledger_norms_of_a_window_block_equal_its_steps(self, family):
         # the integrator's ledger hands a family a (K, W, M, 3) block of
-        # states; each step's column equals the family's call on that step's
-        # (K, M, 3) states, and each state's value hs_norm_sq(u, s)
+        # states with their ||u||_0, ||u||_1 (K, W, 2); each step's column
+        # equals the family's call on that step's (K, M, 3) states, and each
+        # state's value hs_norm_sq(u, s)
         block = np.stack([[random_field(self.ctx, seed=10 * k + w).coeffs for w in range(4)] for k in range(3)])
-        norms = np.sqrt(2.0 * np.sum(np.abs(block) ** 2, axis=(2, 3)))
-        h1 = norms * 1.5
-        hs = family._ledger_hs_norms_sq(block, norms, h1)
-        assert [np.shape(value) for value in hs] == [(3, 4)] * 2
+        norms = np.stack([[[sobolev_norm(SpectralField(4, c), s) for s in (0.0, 1.0)] for c in row] for row in block])
+        hs = family._hs_norms_sq(block, (0.0, 1.0), norms)
+        assert hs.shape == (3, 4, 2)
         for w in range(4):
-            alone = family._ledger_hs_norms_sq(np.ascontiguousarray(block[:, w]), norms[:, w], h1[:, w])
-            for value, step in zip(hs, alone):
-                assert value[:, w].tobytes() == step.tobytes()
-        if isinstance(family, DiagonalSpectralNoise):
-            for s, value in zip((0.0, 1.0), hs):
-                assert value[2, 3] == family.hs_norm_sq(SpectralField(4, block[2, 3]), s)
+            alone = family._hs_norms_sq(np.ascontiguousarray(block[:, w]), (0.0, 1.0), norms[:, w])
+            assert hs[:, w].tobytes() == alone.tobytes()
+        for s, value in zip((0.0, 1.0), np.moveaxis(hs, -1, 0)):
+            assert value[2, 3] == family.hs_norm_sq(SpectralField(4, block[2, 3]), s)
 
     @pytest.mark.parametrize("driver_dim", [0, -1])
     def test_decay_law_needs_a_driver(self, driver_dim):
@@ -291,8 +291,8 @@ class TestAudit:
 
     def test_unbounded_family_is_flagged(self):
         class QuadraticNoise(LinearMultiplicativeNoise):
-            def apply(self, u, incr):
-                scaled = sobolev_norm(u, 0.0) * self.sigma * incr.values[0]
+            def apply(self, u, dw):
+                scaled = sobolev_norm(u, 0.0) * self.sigma * dw[0]
                 return SpectralField(u.n, scaled * u.coeffs)
 
             def hs_norm_sq(self, u, s=0.0):
@@ -304,6 +304,12 @@ class TestAudit:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="samples"):
             audit_hypotheses(LinearMultiplicativeNoise(0.1), self.ctx, samples=1)
+
+    @pytest.mark.parametrize("scales", [(), (1.0,)])
+    def test_scale_count_validated(self, scales):
+        # the verdict compares the envelopes at the two largest scales
+        with pytest.raises(ValueError, match="at least 2 norm scales"):
+            audit_hypotheses(LinearMultiplicativeNoise(0.1), self.ctx, samples=2, scales=scales)
 
     def test_render_mentions_family(self):
         fam = LinearMultiplicativeNoise(0.3)
