@@ -98,6 +98,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     parsed = _load(args)
+    if parsed.snapshot_every_given:
+        raise ConfigError("[time] snapshot_every is run-only: ensemble writes no snapshots")
     outdir = _output_dir(args, parsed)
     write_incomplete_marker(outdir, "started, not finished")
     summary = outdir / "summary.csv"

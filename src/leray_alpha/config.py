@@ -5,7 +5,8 @@ finite, and the only applied default values are the documented ones (see
 README for the full schema).  Sections:
 
     [model]    nu, alpha, theta1, theta2, n, nonlinear?
-    [time]     dt, T, snapshot_every? (default T/10), whole numbers of steps dt
+    [time]     dt, T, snapshot_every? (run only, default T/10), whole numbers
+               of steps dt
     [noise]    family, seed?, sigma / modes / gamma + driver_dim
     [initial]  kind, mode / seed + slope, amplitude?
     [monitors] tau_R / rho_M / gamma_K = threshold   (optional section)
@@ -66,6 +67,9 @@ class ParsedConfig:
     ensemble_size: int
     workers: int
     output_dir: str | None
+    # whether [time] snapshot_every was given: run.snapshot_every holds the
+    # T/10 default otherwise, and ensemble rejects an explicit one
+    snapshot_every_given: bool
 
 
 def _float(section: str, key: str, raw: str) -> float:
@@ -273,4 +277,10 @@ def parse_config(text: str, seed_override: int | None = None) -> ParsedConfig:
             run = replace(run, snapshot_every=max(1, int(round((horizon / 10.0) / dt))) * dt)
     except RunConfigError as exc:
         raise ConfigError(f"[{_FIELD_SECTIONS[exc.field]}] {exc}") from None
-    return ParsedConfig(run=run, ensemble_size=size, workers=workers, output_dir=output_dir)
+    return ParsedConfig(
+        run=run,
+        ensemble_size=size,
+        workers=workers,
+        output_dir=output_dir,
+        snapshot_every_given=snapshot_every is not None,
+    )

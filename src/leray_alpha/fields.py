@@ -181,10 +181,19 @@ class _ProductGrid:
     transform: the fill and the forward y stage, gather and projection by
     kept kx row (which owns the lattice and mirror rows of its kx), the
     inverse x stage by field, the slab loop by x-plane (an even share each,
-    in slabs of _SLAB_DEPTH on its own buffers) and the forward x stage by y
-    row.  The stages run in place on persistent buffers, so each call
-    re-zeroes the cells no row covers (the origin in the fill, the x zero
-    band in the x stage), and one instance must not serve two callers at once.
+    in slabs of _SLAB_DEPTH on its own buffers) and the forward x stage by
+    (component, y) row.  The stages run in place on persistent buffers, so
+    each call re-zeroes the cells no row covers (the origin in the fill, the
+    x zero band in the x stage), and one instance must not serve two callers
+    at once.
+
+    The kernel keeps one storage array, x-major (ng, 12, 2n + 1, n + 1), and
+    two slab buffers per thread.  block is its (fields, x, y, z) view.  Once
+    the slab loop has copied an x-plane into its y-stage buffer, that plane's
+    forward spectrum (3, ng, n + 1) goes in the plane's first cells: rows
+    views it as (x, 3 ng, z) and forward as (3, x, y, z).  A slab's products
+    reuse the y-stage buffer after the c2r has read it, and its r2c output
+    the physical buffer after the products are formed.
     """
 
     def __init__(self, lat: "Lattice"):
@@ -192,16 +201,21 @@ class _ProductGrid:
         self.lattice = lat
         self.n = n
         self.ng = ng
-        self.block = np.zeros((_PRODUCT_FIELDS, ng, 2 * n + 1, n + 1), dtype=np.complex128)
+        # the one storage array, x-major: each x-plane holds its 12 fields,
+        # and after the slab loop has read it, its forward spectrum
+        self.storage = np.zeros((ng, _PRODUCT_FIELDS, 2 * n + 1, n + 1), dtype=np.complex128)
+        self.block = self.storage.transpose(1, 0, 2, 3)
         # the derivative fields, [m, j] = block field 3 + 3 m + j
         self.grad = self.block[3:].reshape(3, 3, ng, 2 * n + 1, n + 1)
-        # flat offsets, from a field of the block, of the three components of
-        # each spectral row: the lattice rows, then the kz = 0 mirror rows
+        # flat offsets in the storage, from the first cell of a field, of the
+        # three components of each spectral row: the lattice rows, then the
+        # kz = 0 mirror rows
+        plane = self.storage[0].size
         rows = lat.row_wavevectors
-        cells = np.ravel_multi_index(
-            (np.mod(rows[:, 0], ng), np.mod(rows[:, 1], 2 * n + 1), rows[:, 2]), (ng, 2 * n + 1, n + 1)
+        cells = np.mod(rows[:, 0], ng) * plane + np.ravel_multi_index(
+            (np.mod(rows[:, 1], 2 * n + 1), rows[:, 2]), (2 * n + 1, n + 1)
         )
-        idx_block = cells[:, None] + self.block[0].size * np.arange(3)
+        idx_block = cells[:, None] + self.block[0, 0].size * np.arange(3)
         self.idx_rows, self.idx_mirrors = idx_block[: lat.size], idx_block[lat.size :]
         # k_x and k_y per (x, y) cell of the block and k_z, each + 0j as a
         # complex x float multiply casts them
@@ -210,19 +224,21 @@ class _ProductGrid:
         self.kxy[1] = np.rint(np.fft.fftfreq(2 * n + 1) * (2 * n + 1)).reshape(2 * n + 1, 1)
         self.kz = np.arange(n + 1, dtype=np.complex128)
         self.scale = _forward_scale(ng)
-        self.forward = np.empty((3, ng, ng, n + 1), dtype=np.complex128)
-        # flat positions in self.forward of the lattice's (M, 3) coefficients
+        self.rows = self.storage.reshape(ng, plane)[:, : 3 * ng * (n + 1)].reshape(ng, 3 * ng, n + 1)
+        self.forward = self.rows.reshape(ng, 3, ng, n + 1).transpose(1, 0, 2, 3)
+        # flat positions in the storage of the lattice's (M, 3) coefficients
         k = lat.wavevectors
-        cells = np.ravel_multi_index((np.mod(k[:, 0], ng), np.mod(k[:, 1], ng), k[:, 2]), (ng, ng, n + 1))
-        self.idx_gather = cells[:, None] + self.forward[0].size * np.arange(3)
+        cells = np.mod(k[:, 0], ng) * plane + np.ravel_multi_index((np.mod(k[:, 1], ng), k[:, 2]), (ng, n + 1))
+        self.idx_gather = cells[:, None] + ng * (n + 1) * np.arange(3)
         # per kx = -n..n + 1, the first lattice row of that kx (the rows run
         # in ascending kx) and the number of mirror rows that land at kx or
         # above (a mirror row of kx' lands at -kx', so they run in descending kx)
         kxs = np.arange(-n, n + 2)
         self.kx_rows = np.searchsorted(k[:, 0], kxs).tolist()
         self.kx_mirrors = np.searchsorted(k[lat.mirror_rows, 0], -kxs, side="right").tolist()
-        # per thread of the slab loop: the y stage, physical, products, r2c output
-        self.slab_buffers: list[tuple[np.ndarray, ...]] = []
+        # per thread of the slab loop: the y stage, which then holds the
+        # products, and physical, which then holds the r2c output
+        self.slab_buffers: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _kept(self, start: int, stop: int) -> list[tuple[slice, slice, slice]]:
         """The kept kx rows start..stop-1, in the order kx = 0..n, -n..-1,
@@ -248,10 +264,10 @@ class _ProductGrid:
         kx = 0 zeroes; the x zero band is left to _inverse_x."""
         if start == 0:
             self.block[:, 0, 0, 0] = 0
-        flat, grad = self.block.reshape(-1), self.grad
+        flat, grad = self.storage.reshape(-1), self.grad
         for xs, rows, mirrors in self._kept(start, stop):
             for first, coeffs in ((0, velocity), (9 if derivatives else 3, field)):
-                fields = flat[first * self.block[0].size :]
+                fields = flat[first * self.block[0, 0].size :]
                 fields[self.idx_rows[rows]] = coeffs[rows]
                 fields[self.idx_mirrors[mirrors]] = np.conj(coeffs[self.lattice.mirror_rows[mirrors]])
             if derivatives:
@@ -271,15 +287,18 @@ class _ProductGrid:
     def _slab_pass(self, by_x: np.ndarray, combine, buffers: tuple, start: int, stop: int) -> None:
         """x-planes start..stop-1 of the slab loop, in slabs of at most
         _SLAB_DEPTH planes, from the x-transformed block into their x-planes
-        of self.forward."""
+        of self.forward, which overwrite the planes' storage after by_y has
+        copied them.  buffers are the thread's two: by_y, which then holds
+        the products, and physical, which then holds the r2c output."""
         n, ng = self.n, self.ng
         fields = len(by_x)
         for x0 in range(start, stop, _SLAB_DEPTH):
             x1 = min(stop, x0 + _SLAB_DEPTH)
-            by_y, physical, products, half = (
-                buf[: rows * ng * (x1 - x0) * cols].reshape(rows, ng, x1 - x0, cols)
-                for buf, rows, cols in zip(buffers, (fields, fields, 3, 3), (n + 1, ng, ng, ng // 2 + 1))
-            )
+            size = ng * (x1 - x0)
+            by_y = buffers[0][: fields * size * (n + 1)].reshape(fields, ng, x1 - x0, n + 1)
+            physical = buffers[1].view(float)[: fields * size * ng].reshape(fields, ng, x1 - x0, ng)
+            products = buffers[0].view(float)[: 3 * size * ng].reshape(3, ng, x1 - x0, ng)
+            half = buffers[1][: 3 * size * (ng // 2 + 1)].reshape(3, ng, x1 - x0, ng // 2 + 1)
             slab = by_x[:, x0:x1].transpose(0, 2, 1, 3)
             by_y[:, : n + 1] = slab[:, : n + 1]
             by_y[:, n + 1 : ng - n] = 0
@@ -293,12 +312,15 @@ class _ProductGrid:
 
     def _finish(self, out: np.ndarray, project: bool, start: int, stop: int) -> None:
         """The forward y stage of the kept kx rows start..stop-1 (see
-        _kept), then the gather of their lattice rows into out,
+        _kept), one contiguous (3, y, z) x-plane of self.rows at a time,
+        then the gather of their lattice rows from the storage into out,
         Leray-projected if project."""
-        forward = self.forward
+        n, ng = self.n, self.ng
         for xs, rows, _ in self._kept(start, stop):
-            np.fft.fft(forward[:, xs], axis=2, out=forward[:, xs])
-            np.take(forward.reshape(-1), self.idx_gather[rows], out=out[rows], mode="clip")
+            for x in range(xs.start, xs.stop):
+                plane = self.rows[x].reshape(3, ng, n + 1)
+                np.fft.fft(plane, axis=1, out=plane)
+            np.take(self.storage.reshape(-1), self.idx_gather[rows], out=out[rows], mode="clip")
             if project:
                 self.lattice.project(out, rows)
 
@@ -319,20 +341,21 @@ class _ProductGrid:
         fields = 12 if derivatives else 6
         _split(threads, 2 * n + 1, lambda part, a, b: self._fill(velocity, field, derivatives, a, b))
         _split(threads, fields, lambda part, a, b: self._inverse_x(a, b))
-        size = ng * _SLAB_DEPTH
+        size = ng * _SLAB_DEPTH * _PRODUCT_FIELDS
         while len(self.slab_buffers) < min(threads, ng):
+            # by_y and physical (as complex pairs); both outsize the
+            # products and the r2c output they later hold
             self.slab_buffers.append(
-                (
-                    np.empty(size * _PRODUCT_FIELDS * (n + 1), dtype=np.complex128),
-                    np.empty(size * _PRODUCT_FIELDS * ng),
-                    np.empty(size * 3 * ng),
-                    np.empty(size * 3 * (ng // 2 + 1), dtype=np.complex128),
-                )
+                (np.empty(size * (n + 1), dtype=np.complex128), np.empty(size * ng // 2, dtype=np.complex128))
             )
         block = self.block[:fields]
         _split(threads, ng, lambda part, a, b: self._slab_pass(block, combine, self.slab_buffers[part], a, b))
-        forward = self.forward
-        _split(threads, ng, lambda part, a, b: np.fft.fft(forward[:, :, a:b], axis=1, out=forward[:, :, a:b]))
+        # the forward x stage by (component, y) row of the 3-D row view:
+        # numpy.fft copies the whole operand of an in-place call on the 4-D
+        # self.forward view, but not on this view or on a contiguous x-plane
+        # (the y stage in _finish)
+        rows = self.rows
+        _split(threads, 3 * ng, lambda part, a, b: np.fft.fft(rows[:, a:b], axis=0, out=rows[:, a:b]))
         _split(threads, 2 * n + 1, lambda part, a, b: self._finish(out, project, a, b))
 
 

@@ -329,12 +329,14 @@ def audit_hypotheses(
     scales: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0),
 ) -> NoiseAudit:
     """Empirical envelopes of the growth and Lipschitz ratios over random
-    fields at escalating norm scales; a family whose envelope keeps growing
-    with the scale is flagged."""
+    fields at increasing norm scales; a family whose envelope keeps growing
+    between the two largest scales is flagged."""
     if samples < 2:
         raise ValueError("need at least 2 samples per scale")
     if len(scales) < 2:
         raise ValueError("need at least 2 norm scales: the verdict compares the two largest")
+    if any(not b > a for a, b in zip(scales, scales[1:])):
+        raise ValueError(f"norm scales must increase: the verdict compares the last two, got {scales}")
     growth0, growth1, lips = [], [], []
     for si, scale in enumerate(scales):
         g0 = g1 = lp = 0.0

@@ -71,9 +71,17 @@ CASES = [(command, case) for command, keys in COMMAND_KEYS.items() for case in k
 ]
 
 
-def render(base: dict) -> str:
+def render(base: dict, command: str = "run") -> str:
+    """The config text of base for command: ensemble rejects a snapshot
+    cadence, so its text leaves out [time] snapshot_every."""
     return "".join(
-        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n"
+        f"[{section}]\n"
+        + "".join(
+            f"{key} = {value}\n"
+            for key, value in keys.items()
+            if not (command == "ensemble" and (section, key) == ("time", "snapshot_every"))
+        )
+        + "\n"
         for section, keys in base.items()
     )
 
@@ -109,7 +117,7 @@ def test_boundary_value(command, case, value, tmp_path, monkeypatch, capsys):
     if command == "audit-noise":
         argv.append("--samples=2")
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.ini").write_text(render(base))
+    (tmp_path / "cfg.ini").write_text(render(base, command))
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects a flag value with exit 2
@@ -128,7 +136,7 @@ def test_output_path_that_is_a_file(command, tmp_path, monkeypatch, capsys):
     # --output naming an existing regular file (the config itself): a config
     # error that names the path, before anything runs, not a traceback
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.ini").write_text(render(BASES["decay"]))
+    (tmp_path / "cfg.ini").write_text(render(BASES["decay"], command))
     argv = [command, "--config", "cfg.ini", "--output", "cfg.ini"]
     if command == "audit-noise":
         argv.append("--samples=2")
@@ -147,3 +155,16 @@ def test_step_count_no_array_can_hold(tmp_path, monkeypatch, capsys):
     (tmp_path / "cfg.ini").write_text(render(base))
     assert main(["run", "--config", "cfg.ini"]) == EXIT_CONFIG
     assert "[time] horizon T = 1e+20 is 100000000000000000000 steps" in capsys.readouterr().err
+
+
+def test_ensemble_rejects_a_snapshot_cadence(tmp_path, monkeypatch, capsys):
+    # ensemble writes no snapshots, so an explicit [time] snapshot_every is a
+    # config error that names the key, before any output is written; run
+    # takes the same config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.ini").write_text(render(BASES["decay"]))
+    assert main(["ensemble", "--config", "cfg.ini", "--output", "ens"]) == EXIT_CONFIG
+    assert "[time] snapshot_every" in capsys.readouterr().err
+    assert not (tmp_path / "ens").exists()
+    assert main(["run", "--config", "cfg.ini", "--output", "run"]) == EXIT_OK
+    assert sorted(path.name for path in (tmp_path / "run").glob("*.snap"))

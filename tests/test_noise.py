@@ -311,6 +311,17 @@ class TestAudit:
         with pytest.raises(ValueError, match="at least 2 norm scales"):
             audit_hypotheses(LinearMultiplicativeNoise(0.1), self.ctx, samples=2, scales=scales)
 
+    @pytest.mark.parametrize(
+        "scales",
+        [(100.0, 10.0, 1.0, 0.1), (0.1, 1.0, 1.0, 10.0), (1.0, 1.0)],
+        ids=["descending", "repeated", "equal-pair"],
+    )
+    def test_scales_must_increase(self, scales):
+        # descending, the verdict would compare the two smallest scales and
+        # miss an unbounded family; a repeated scale compares one with itself
+        with pytest.raises(ValueError, match="norm scales must increase"):
+            audit_hypotheses(LinearMultiplicativeNoise(0.1), self.ctx, samples=2, scales=scales)
+
     def test_render_mentions_family(self):
         fam = LinearMultiplicativeNoise(0.3)
         text = audit_hypotheses(fam, self.ctx, samples=2, seed=5).render()

@@ -28,7 +28,7 @@ from leray_alpha import (
     trilinear,
 )
 from leray_alpha import nonlinear
-from leray_alpha.fields import get_fft_workers, lattice, set_fft_workers
+from leray_alpha.fields import _SLAB_DEPTH, get_fft_workers, lattice, set_fft_workers
 from leray_alpha.nonlinear import _advect_block, pointwise_multiply
 
 from oracles import brute_advection
@@ -395,12 +395,15 @@ class TestProductGridKernel:
             grid._inverse_x(start, stop)
         assert grid.block.tobytes() == whole.tobytes()
 
-    def test_transform_allocates_no_block_sized_output(self):
-        # a warm n=16 call peaks at 1.23 MiB: the 0.82 MiB output and the
-        # projection's (M,) temporaries.  An (M, 3) projection temporary
-        # (0.82 MiB), a 12-row stack of input rows (3.4 MiB) or a block-sized
-        # FFT output (5.1 MiB for the x stage) breaks it
-        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=16)
+    # n = 16 peaks at 1.23 MiB on one thread and at most 1.61 MiB on two
+    # (the 0.82 MiB output and the projection's (M,) temporaries, per part
+    # at once), n = 24 at 3.74 and at most 4.71 MiB (a 2.69 MiB output).  An
+    # (M, 3) projection temporary (0.82 MiB at n = 16), a 12-row stack of
+    # input rows (3.4 MiB), a copy of the 4-D forward view (2.07 / 6.4 MiB)
+    # or a block-sized FFT output (5.1 MiB for the x stage) breaks it
+    @pytest.mark.parametrize("n, bound_mib", [(16, 2), (24, 6)])
+    def test_transform_allocates_no_block_sized_output(self, n, bound_mib, fft_workers):
+        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=n)
         u = random_field(ctx, seed=16).coeffs[None]
         gu = u * ctx.filter_multiplier[:, None]
         _advect_block(ctx.lattice, gu, u)
@@ -410,7 +413,33 @@ class TestProductGridKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < bound_mib * 2**20
+
+    def test_forward_spectrum_lives_in_the_block(self):
+        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=5)
+        grid = ctx.lattice.product_grid()
+        assert np.shares_memory(grid.forward, grid.block)
+        assert np.shares_memory(grid.rows, grid.block)
+
+    def test_workspace_is_the_storage_and_two_slab_buffers_per_thread(self, saved_fft_workers):
+        # n = 24 at 2 threads: 17.64 MB of storage and 4.5 MB of slab
+        # buffers per thread; every other array the kernel keeps is a view of
+        # the storage or smaller than one output
+        set_fft_workers(2)
+        ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=24)
+        u = random_field(ctx, seed=24).coeffs[None]
+        _advect_block(ctx.lattice, u * ctx.filter_multiplier[:, None], u)
+        grid = ctx.lattice.product_grid()
+        n, ng, depth = 24, grid.ng, _SLAB_DEPTH
+        assert grid.storage.nbytes == ng * 12 * (2 * n + 1) * (n + 1) * 16 == 17_640_000
+        assert len(grid.slab_buffers) == 2
+        for by_y, physical in grid.slab_buffers:
+            assert by_y.nbytes == 12 * ng * depth * (n + 1) * 16
+            assert physical.nbytes == 12 * ng * depth * ng * 8
+        slabs = sum(buf.nbytes for buffers in grid.slab_buffers for buf in buffers)
+        assert slabs == 2 * 4_500_000
+        others = [a for a in vars(grid).values() if isinstance(a, np.ndarray) and a is not grid.storage]
+        assert all(np.shares_memory(a, grid.storage) or a.nbytes < u.nbytes for a in others)
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_block_members_equal_their_own_calls(self, threads, saved_fft_workers):
