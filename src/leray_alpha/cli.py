@@ -5,7 +5,7 @@ Subcommands: run (one trajectory), ensemble (Monte-Carlo batch), classify
 the configured noise family) and check-invariants (built-in invariant
 suite).  Exit codes: 0 success, 2 configuration error, 3 numerical blow-up,
 4 invariant-suite failure.  run and ensemble mark their output directory
-INCOMPLETE before they write into it, and drop the mark once they finish.
+INCOMPLETE and clear it of their outputs, and drop the mark once they finish.
 """
 
 from __future__ import annotations
@@ -13,7 +13,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,9 +28,8 @@ from .diagnostics import classify_regime, ensemble_moments
 from .integrator import run_ensemble, run_trajectory
 from .noise import audit_hypotheses
 from .output import (
+    INCOMPLETE_MARKER,
     TrajectoryCsvSink,
-    remove_incomplete_marker,
-    remove_stale_trajectory_csvs,
     write_incomplete_marker,
     write_regime_csv,
     write_series_csv,
@@ -41,6 +43,8 @@ EXIT_BLOWUP = 3
 EXIT_INVARIANT = 4
 
 OUTPUT_ENV = "LERAY_ALPHA_OUTPUT"
+# every file run or ensemble writes, and write_atomically's .<name>.<pid>.tmp of one
+_OUTPUTS = re.compile(r"(?P<tmp>\.)?(series\.csv|snapshot_\d+\.snap|traj_\d+\.csv|summary\.csv)(?(tmp)\.\d+\.tmp)")
 
 
 def _load(args: argparse.Namespace) -> ParsedConfig:
@@ -73,27 +77,46 @@ def _output_dir(args: argparse.Namespace, parsed: ParsedConfig | None = None) ->
     return directory
 
 
+@contextmanager
+def _started(outdir: Path) -> Iterator[None]:
+    """Mark outdir INCOMPLETE, then delete every output of run and ensemble
+    there; an exception that ends the command propagates, named in the marker."""
+    write_incomplete_marker(outdir, "started, not finished")  # first, so that even a SIGKILL leaves it
+    for name in filter(_OUTPUTS.fullmatch, os.listdir(outdir)):
+        (outdir / name).unlink()
+    try:
+        yield
+    except BaseException as exc:
+        with suppress(Exception):  # the marker is lost, not the exception
+            write_incomplete_marker(outdir, f"stopped by {exc!r}")
+        raise
+
+
+def _finish(outdir: Path, halt: str | None, done: str) -> int:
+    """A halt reason goes to the marker and stderr (exit 3); none drops the marker, prints done."""
+    if halt is not None:
+        write_incomplete_marker(outdir, halt)
+        print(halt, file=sys.stderr)
+        return EXIT_BLOWUP
+    (outdir / INCOMPLETE_MARKER).unlink(missing_ok=True)
+    print(done)
+    return EXIT_OK
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     parsed = _load(args)
     outdir = _output_dir(args, parsed)
-    write_incomplete_marker(outdir, "started, not finished")  # first, so that even a SIGKILL leaves it
-    for stale in [outdir / "series.csv", *outdir.glob("snapshot_*.snap")]:  # this run writes its own
-        stale.unlink(missing_ok=True)
     ctx = parsed.run.ctx
 
     def snapshot(member: int, step_index: int, t: float, field) -> None:
         meta = SnapshotMeta(n=ctx.n, nu=ctx.nu, alpha=ctx.alpha, theta1=ctx.theta1, theta2=ctx.theta2, t=t)
         write_snapshot(field, meta, outdir / f"snapshot_{step_index:08d}.snap")
 
-    record = run_trajectory(parsed.run, snapshot=snapshot)
-    write_series_csv(record, outdir / "series.csv")
-    if not record.complete:
-        write_incomplete_marker(outdir, f"numerical blow-up at t={record.overflow.hit_time}")
-        print(f"blow-up halt at t={record.overflow.hit_time}; partial series written", file=sys.stderr)
-        return EXIT_BLOWUP
-    remove_incomplete_marker(outdir)
-    print(f"wrote {outdir / 'series.csv'} ({len(record.t)} rows)")
-    return EXIT_OK
+    with _started(outdir):
+        record = run_trajectory(parsed.run, snapshot=snapshot)
+        write_series_csv(record, outdir / "series.csv")
+        halt = None if record.complete else f"numerical blow-up at t={record.overflow.hit_time}"
+        return _finish(outdir, halt, f"wrote {outdir / 'series.csv'} ({len(record.t)} rows)")
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
@@ -101,30 +124,21 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     if parsed.snapshot_every_given:
         raise ConfigError("[time] snapshot_every is run-only: ensemble writes no snapshots")
     outdir = _output_dir(args, parsed)
-    write_incomplete_marker(outdir, "started, not finished")
-    summary = outdir / "summary.csv"
-    summary.unlink(missing_ok=True)  # an earlier run's; written again below
-    remove_stale_trajectory_csvs(outdir, parsed.ensemble_size)
     cfg = replace(parsed.run, snapshot_every=None)
-    # the chunks write their trajectory CSVs and return only the norm rows
-    norms = run_ensemble(cfg, parsed.ensemble_size, parsed.workers, sink=TrajectoryCsvSink(outdir))
-    halted = [r.trajectory_id for r in norms if not r.complete]
-    completed = len(norms) - len(halted)
-    if completed:
-        write_summary_csv(ensemble_moments(norms, p=args.moment), summary)  # over the complete members
-    if halted:
-        ids = ", ".join(map(str, halted))
+    with _started(outdir):
+        # the chunks write their trajectory CSVs and return only the norm rows
+        norms = run_ensemble(cfg, parsed.ensemble_size, parsed.workers, sink=TrajectoryCsvSink(outdir))
+        halted = [r.trajectory_id for r in norms if not r.complete]
+        completed = len(norms) - len(halted)
+        if completed:
+            write_summary_csv(ensemble_moments(norms, p=args.moment), outdir / "summary.csv")  # the complete members
         note = (
             f"summary.csv averages the {completed} of {len(norms)} trajectories that completed"
             if completed
             else "no trajectory completed, so there is no summary.csv"
         )
-        write_incomplete_marker(outdir, f"numerical blow-up in trajectories: {ids}; {note}")
-        print(f"blow-up halt in trajectories {ids}; partial outputs written", file=sys.stderr)
-        return EXIT_BLOWUP
-    remove_incomplete_marker(outdir)
-    print(f"wrote {len(norms)} trajectories and {summary}")
-    return EXIT_OK
+        halt = f"numerical blow-up in trajectories: {', '.join(map(str, halted))}; {note}" if halted else None
+        return _finish(outdir, halt, f"wrote {len(norms)} trajectories and {outdir / 'summary.csv'}")
 
 
 def _moment_order(text: str) -> float:
@@ -205,10 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, needs_config: bool = True, workers: bool = True) -> None:
         if needs_config:
             p.add_argument("--config", required=True, help="path to the INI run configuration")
             p.add_argument("--seed", type=int, default=None, help="override the master noise seed")
+        if workers:
             p.add_argument("--workers", type=int, default=None, help="override the worker count")
         p.add_argument("--output", default=None, help=f"output directory (default: ${OUTPUT_ENV} or ./out)")
 
@@ -224,16 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="tabulate solvability regimes over a parameter grid")
     p_cls.add_argument("--theta1", required=True, help="comma list or start:stop:count range")
     p_cls.add_argument("--theta2", required=True, help="comma list or start:stop:count range")
-    add_common(p_cls, needs_config=False)
+    add_common(p_cls, needs_config=False, workers=False)
     p_cls.set_defaults(func=_cmd_classify)
 
     p_aud = sub.add_parser("audit-noise", help="empirical growth/Lipschitz envelopes of the noise family")
-    add_common(p_aud)
+    add_common(p_aud, workers=False)
     p_aud.add_argument("--samples", type=int, default=8, help="random fields per norm scale (>= 2)")
-    p_aud.set_defaults(func=_cmd_audit_noise)
+    p_aud.set_defaults(func=_cmd_audit_noise, workers=None)  # it starts no pool
 
     p_chk = sub.add_parser("check-invariants", help="run the built-in invariant suite")
-    add_common(p_chk, needs_config=False)
     p_chk.set_defaults(func=_cmd_check_invariants)
     return parser
 

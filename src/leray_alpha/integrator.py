@@ -176,8 +176,9 @@ class RunConfig:
                 "horizon",
                 f"horizon T = {self.horizon!r} is {steps} steps dt = {self.dt!r}, more than an array can hold",
             )
-        if self.seed < 0:
-            raise RunConfigError("seed", "seed must be >= 0")
+        for name, word in (("seed", self.seed), ("trajectory_id", self.trajectory_id)):  # they key a Philox stream
+            if not 0 <= word < 2**64:
+                raise RunConfigError(name, f"{name} must be >= 0" if word < 0 else f"{name} must be < 2**64")
         noise_n = getattr(self.noise, "n", self.ctx.n)  # the mode families are built for one truncation
         if noise_n != self.ctx.n:
             raise RunConfigError("noise", f"noise truncation n={noise_n} does not match the model n={self.ctx.n}")

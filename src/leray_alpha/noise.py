@@ -52,8 +52,8 @@ class WienerStream:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("driver dimension must be >= 1")
-        if self.master_seed < 0 or self.trajectory_id < 0:
-            raise ValueError("master seed and trajectory id must be >= 0 (they key a Philox counter)")
+        if not (0 <= self.master_seed < 2**64 and 0 <= self.trajectory_id < 2**64):
+            raise ValueError("master seed and trajectory id must be >= 0 and < 2**64 (they key a Philox counter)")
         bitgen = np.random.Philox(key=np.array([self.master_seed, self.trajectory_id], dtype=np.uint64))
         object.__setattr__(self, "_bitgen", bitgen)
         object.__setattr__(self, "_normal", np.random.Generator(bitgen))

@@ -33,7 +33,7 @@ def _advective_products(physical: np.ndarray, out: np.ndarray) -> None:
         out[j] += physical[2] * physical[9 + j]
 
 
-def _advect_block(lat: Lattice, a: np.ndarray, v: np.ndarray, project: bool = True) -> np.ndarray:
+def _advect_block(lat: Lattice, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """B(a_k, v_k) of coefficient blocks (K, M, 3), one product-grid
     transform per member, each written into its row of the output and
     projected there.  Unchecked: a_k must be divergence-free, and a member
@@ -41,21 +41,20 @@ def _advect_block(lat: Lattice, a: np.ndarray, v: np.ndarray, project: bool = Tr
     grid = lat.product_grid()
     out = np.empty(a.shape, dtype=np.complex128)
     for a_k, v_k, out_k in zip(a, v, out):
-        grid.transform(a_k, v_k, _advective_products, out_k, True, project)
+        grid.transform(a_k, v_k, _advective_products, out_k, True, True)
     return out
 
 
-def advect(u: SpectralField, v: SpectralField, ctx: ModelContext, *, project: bool = True) -> SpectralField:
+def advect(u: SpectralField, v: SpectralField, ctx: ModelContext) -> SpectralField:
     """B(u, v): advect v by the divergence-free velocity u and project back
-    onto the divergence-free truncated lattice.  project=False returns the
-    raw (u . grad) v, still truncated."""
+    onto the divergence-free truncated lattice."""
     _check_same_truncation(u, v)
     if u.n != ctx.n:
         raise ValueError(f"truncation mismatch: fields n={u.n}, context n={ctx.n}")
     defect = u.divergence_defect()
     if defect > _DIV_FREE_TOL:
         raise ValueError(f"the advecting field must be divergence-free (defect {defect:.3e})")
-    return SpectralField(ctx.n, _advect_block(ctx.lattice, u.coeffs[None], v.coeffs[None], project)[0])
+    return SpectralField(ctx.n, _advect_block(ctx.lattice, u.coeffs[None], v.coeffs[None])[0])
 
 
 def leray_advection(u: SpectralField, ctx: ModelContext) -> SpectralField:

@@ -5,7 +5,6 @@ are byte-identical for identical runs regardless of worker count.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,15 +64,6 @@ class TrajectoryCsvSink:
         return [NormSeries(record.cfg, record.norms.copy(), record.complete) for record in records]
 
 
-def remove_stale_trajectory_csvs(directory: Path, size: int) -> None:
-    """Drop the traj_NNNN.csv files of ids >= size, which an earlier, larger
-    ensemble left in directory; the ids below size are rewritten."""
-    for path in directory.glob("traj_*.csv"):
-        match = re.fullmatch(r"traj_(\d+)\.csv", path.name)
-        if match and int(match[1]) >= size:
-            path.unlink()
-
-
 def write_summary_csv(stats: EnsembleStats, path: str | Path) -> None:
     lines = ["statistic,value,stderr"]
     rows = [
@@ -98,8 +88,3 @@ def write_regime_csv(rows: list[RegimeVerdict], path: str | Path) -> None:
 
 def write_incomplete_marker(directory: str | Path, reason: str) -> None:
     _write_text(Path(directory, INCOMPLETE_MARKER), reason + "\n")
-
-
-def remove_incomplete_marker(directory: str | Path) -> None:
-    """Drop the marker of a finished run."""
-    Path(directory, INCOMPLETE_MARKER).unlink(missing_ok=True)

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from leray_alpha import integrator, selfcheck
+from leray_alpha import cli, integrator, selfcheck
 from leray_alpha.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from leray_alpha.diagnostics import classify_regime
 from leray_alpha.fields import lattice
+from leray_alpha.output import TrajectoryCsvSink
 from leray_alpha.snapshots import read_snapshot
 
 DECAY_CFG = """
@@ -452,39 +453,158 @@ def test_interrupted_run_keeps_the_snapshots_it_reached(tmp_path, monkeypatch):
         main(["run", "--config", str(GOLDEN / "run.ini"), "--output", str(out)])
     names = [f"snapshot_{m:08d}.snap" for m in (0, 4, 8)]
     assert sorted(p.name for p in out.iterdir()) == ["INCOMPLETE", *names]  # no series.csv, no temporary file
-    assert (out / "INCOMPLETE").read_text() == "started, not finished\n"
+    assert (out / "INCOMPLETE").read_text() == "stopped by KeyboardInterrupt()\n"
     for name in names:
         assert (out / name).read_bytes() == (GOLDEN / "run" / name).read_bytes()
 
 
-def test_interrupted_ensemble_marks_the_mix_of_two_runs(tmp_path, monkeypatch):
+class InterruptedSink(TrajectoryCsvSink):
+    """Writes the first chunk's trajectory CSVs, then stops the command."""
+
+    def __call__(self, records):
+        if records[0].trajectory_id > 0:
+            raise KeyboardInterrupt
+        return super().__call__(records)
+
+
+def stop_after_the_first_chunk(patch):
+    # one member per chunk, all in this process
+    patch.setattr(integrator, "_CHUNK_BYTES", 1)
+    patch.setattr(cli, "TrajectoryCsvSink", InterruptedSink)
+
+
+def test_interrupted_ensemble_leaves_only_its_own_files(tmp_path, monkeypatch):
     # a complete seed-1 ensemble, then a seed-2 one into the same directory,
-    # stopped after its first one-member chunk: the seed-1 files of ids 1
-    # and 2 are still there, but the directory says it is partial, and no
-    # summary of either run is left
-    from leray_alpha import cli
-    from leray_alpha.output import TrajectoryCsvSink
-
+    # stopped after its first one-member chunk: only seed 2's traj_0000.csv
+    # is left, under a marker that names the interruption
     out = tmp_path / "out"
-    args = ["ensemble", "--config", str(GOLDEN / "ensemble-additive.ini"), "--workers", "1", "--output", str(out)]
-    assert main([*args, "--seed", "1"]) == EXIT_OK
-    first = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert sorted(first) == ["summary.csv", "traj_0000.csv", "traj_0001.csv", "traj_0002.csv"]
-
-    class InterruptedSink(TrajectoryCsvSink):
-        def __call__(self, records):
-            if records[0].trajectory_id > 0:
-                raise KeyboardInterrupt
-            return super().__call__(records)
-
-    monkeypatch.setattr(integrator, "_CHUNK_BYTES", 1)  # one member per chunk, all in this process
-    monkeypatch.setattr(cli, "TrajectoryCsvSink", InterruptedSink)
+    args = ["ensemble", "--config", str(GOLDEN / "ensemble-additive.ini"), "--workers", "1"]
+    assert main([*args, "--seed", "1", "--output", str(out)]) == EXIT_OK
+    assert main([*args, "--seed", "2", "--output", str(tmp_path / "whole")]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "traj_0000.csv", "traj_0001.csv", "traj_0002.csv"]
+    stop_after_the_first_chunk(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
-        main([*args, "--seed", "2"])
-    assert sorted(p.name for p in out.iterdir()) == ["INCOMPLETE", "traj_0000.csv", "traj_0001.csv", "traj_0002.csv"]
-    assert (out / "INCOMPLETE").read_text() == "started, not finished\n"
-    assert (out / "traj_0000.csv").read_bytes() != first["traj_0000.csv"]  # seed 2's
-    assert (out / "traj_0001.csv").read_bytes() == first["traj_0001.csv"]
+        main([*args, "--seed", "2", "--output", str(out)])
+    assert sorted(p.name for p in out.iterdir()) == ["INCOMPLETE", "traj_0000.csv"]
+    assert (out / "INCOMPLETE").read_text() == "stopped by KeyboardInterrupt()\n"
+    assert (out / "traj_0000.csv").read_bytes() == (tmp_path / "whole" / "traj_0000.csv").read_bytes()
+
+
+RUN_INI = (GOLDEN / "run.ini").read_text()
+ADDITIVE_INI = (GOLDEN / "ensemble-additive.ini").read_text()
+# name -> (steps, what is left beside the planted files that survive, the
+# marker's text or None); each step is (command, config, extra flags, exit
+# code) into one directory, and exit code None stops the step after its
+# first chunk (stop_after_the_first_chunk)
+SEQUENCES = {
+    "ensemble-blowup-then-run": (
+        [("ensemble", BLOWUP_ENSEMBLE_CFG, [], EXIT_BLOWUP), ("run", RUN_INI, [], EXIT_OK)],
+        ["series.csv"] + [f"snapshot_{m:08d}.snap" for m in (0, 4, 8, 10)],
+        None,
+    ),
+    "run-blowup-then-ensemble": (
+        [("run", BLOWUP_ENSEMBLE_CFG, [], EXIT_BLOWUP), ("ensemble", ENSEMBLE_CFG, [], EXIT_OK)],
+        ["summary.csv"] + [f"traj_{i:04d}.csv" for i in range(4)],
+        None,
+    ),
+    "complete-then-interrupted-ensemble": (
+        [("ensemble", ADDITIVE_INI, ["--seed", "1"], EXIT_OK), ("ensemble", ADDITIVE_INI, ["--seed", "2"], None)],
+        ["INCOMPLETE", "traj_0000.csv"],
+        "stopped by KeyboardInterrupt()\n",
+    ),
+    "run-then-blowup-run": (
+        [("run", RUN_INI, [], EXIT_OK), ("run", BLOWUP_ENSEMBLE_CFG, [], EXIT_BLOWUP)],
+        ["INCOMPLETE", "series.csv", "snapshot_00000000.snap"],  # it halts at step 6 of 100
+        "numerical blow-up at t=300.0\n",
+    ),
+}
+# a user's files survive; a temporary name that a killed write left does not
+PLANTED = {"notes.txt": True, "traj_notes.csv": True, ".series.csv.99999.tmp": False, ".traj_0003.csv.1.tmp": False}
+
+
+@pytest.mark.parametrize("name", list(SEQUENCES))
+def test_command_sequence_leaves_the_files_of_its_last_command(tmp_path, name):
+    steps, left, marker = SEQUENCES[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    for planted in PLANTED:
+        (out / planted).write_text("planted\n")
+    for i, (command, text, flags, code) in enumerate(steps):
+        cfg = tmp_path / f"step{i}.ini"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg), "--workers", "1", *flags, "--output", str(out)]
+        with pytest.MonkeyPatch.context() as patch:
+            if code is None:
+                stop_after_the_first_chunk(patch)
+                with pytest.raises(KeyboardInterrupt):
+                    main(argv)
+            else:
+                assert main(argv) == code
+    kept = [planted for planted, survives in PLANTED.items() if survives]
+    assert sorted(p.name for p in out.iterdir()) == sorted(left + kept)
+    if marker is not None:
+        assert (out / "INCOMPLETE").read_text() == marker
+
+
+@pytest.mark.parametrize("marker_fails", [False, True], ids=["marker-written", "marker-write-fails"])
+@pytest.mark.parametrize(
+    "command, runner, ini",
+    [("run", "run_trajectory", "run.ini"), ("ensemble", "run_ensemble", "ensemble-additive.ini")],
+)
+def test_an_exception_that_ends_the_command_is_named_in_the_marker(
+    tmp_path, monkeypatch, command, runner, ini, marker_fails
+):
+    # and it propagates, also when the marker cannot be written
+    def failing(*args, **kwargs):
+        raise RuntimeError("disk on fire")
+
+    write_marker = cli.write_incomplete_marker
+
+    def marker(directory, reason):
+        if marker_fails and reason.startswith("stopped by"):
+            raise OSError("no space left on device")
+        write_marker(directory, reason)
+
+    monkeypatch.setattr(cli, runner, failing)
+    monkeypatch.setattr(cli, "write_incomplete_marker", marker)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        main([command, "--config", str(GOLDEN / ini), "--output", str(out)])
+    expected = "started, not finished\n" if marker_fails else "stopped by RuntimeError('disk on fire')\n"
+    assert (out / "INCOMPLETE").read_text() == expected
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_a_seed_beyond_a_philox_key_word_is_a_config_error(tmp_path, capsys, where):
+    # [noise] seed keys a 64-bit Philox word: 2**64 is rejected before any
+    # directory is made, not an OverflowError in the run
+    cfg = tmp_path / "run.ini"
+    argv = ["run", "--config", str(cfg), "--output", str(tmp_path / "out")]
+    if where == "config":
+        cfg.write_text(RUN_INI.replace("seed = 31", f"seed = {2**64}"))
+    else:
+        cfg.write_text(RUN_INI)
+        argv += ["--seed", str(2**64)]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: [noise] seed must be < 2**64" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, ini", [("run", "run.ini"), ("ensemble", "ensemble-additive.ini")])
+def test_the_largest_philox_key_word_runs(tmp_path, command, ini):
+    argv = [command, "--config", str(GOLDEN / ini), "--seed", str(2**64 - 1), "--output", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+
+
+def test_check_invariants_takes_no_output_directory(tmp_path, monkeypatch, capsys):
+    # it writes no file, so --output is a usage error, not a flag it ignores
+    # (audit-noise --workers: the flag rows of tests/test_cli_boundary.py)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check-invariants", "--output", "out"])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --output out" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_holds_no_snapshot_until_the_end(tmp_path):

@@ -63,6 +63,8 @@ ENSEMBLE_KEYS = [case for case in RUN_KEYS if case[1] == "ensemble"]
 
 # cases whose exit code is fixed: (command, section, key, value) -> exit
 EXPECTED_EXIT = {("run", "model", "theta2", "1e308"): EXIT_CONFIG}  # its norm weights overflow
+# audit-noise starts no pool and has no --workers flag: argparse rejects it
+EXPECTED_EXIT.update({("audit-noise", None, "--workers", value): EXIT_CONFIG for value in VALUES})
 
 COMMAND_KEYS = {"run": RUN_KEYS, "ensemble": ENSEMBLE_KEYS, "audit-noise": NOISE_KEYS}
 # (command, (base, section, key)); a flag's section is None

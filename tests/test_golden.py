@@ -41,7 +41,9 @@ def test_every_noise_family_has_a_case():
 def test_outputs_equal_fixtures(tmp_path, case, workers):
     command = case.rsplit("-", 1)[0]
     out = tmp_path / "out"
-    args = [command, "--config", str(GOLDEN / f"{case}.ini"), "--workers", workers, "--output", str(out)]
+    args = [command, "--config", str(GOLDEN / f"{case}.ini"), "--output", str(out)]
+    if command != "audit-noise":  # it starts no pool and takes no --workers, so its two ids run alike
+        args += ["--workers", workers]
     assert main(args) == EXIT_OK
     expected = sorted(path.name for path in (GOLDEN / case).iterdir())
     assert sorted(path.name for path in out.iterdir()) == expected

@@ -1001,6 +1001,16 @@ class TestConfigValidation:
         assert linear_cfg(dt=0.1, horizon=0.3, snapshot_every=0.2).steps == 3
         assert linear_cfg(dt=1e-3, horizon=1.0 + 1e-12).steps == 1000
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [(name, value, text) for name in ("seed", "trajectory_id") for value, text in ((-1, ">= 0"), (2**64, "< 2"))],
+    )
+    def test_philox_key_words_outside_uint64_rejected(self, field, value, message):
+        with pytest.raises(RunConfigError, match=f"{field} must be {message}") as caught:
+            linear_cfg(**{field: value})
+        assert caught.value.field == field
+        linear_cfg(**{field: 2**64 - 1})
+
     def test_cutoff_radius_positive(self):
         with pytest.raises(ValueError, match="cutoff"):
             linear_cfg(cutoff_radius=-1.0)

@@ -67,6 +67,15 @@ class TestWienerIncrements:
         for step in (0, 1, 2, 2**40, 1, 0, 2**40, 2):
             assert np.array_equal(wiener_increment(stream, 0.01, step), fresh(step))
 
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
+    def test_key_words_outside_uint64_rejected(self, key):
+        # a ValueError from the stream, not an OverflowError from numpy
+        with pytest.raises(ValueError, match=r">= 0 and < 2\*\*64"):
+            WienerStream(*key, 1)
+
+    def test_largest_key_words_draw(self):
+        assert np.isfinite(wiener_increment(WienerStream(2**64 - 1, 2**64 - 1, 3), 0.01, 0)).all()
+
     def test_pickled_stream_draws_in_a_pool(self):
         stream = WienerStream(42, 7, 3)
         expected = [wiener_increment(stream, 0.01, m) for m in range(3)]
