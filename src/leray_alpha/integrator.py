@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -39,6 +38,7 @@ from .fields import (
     random_field,
     scalar_squares,
     set_fft_workers,
+    usable_cpus,
 )
 from .nonlinear import _advect_block, leray_advection  # noqa: F401  (perfbench/spans.py wraps leray_advection here)
 from .noise import NoiseFamily, WienerStream, wiener_increment  # noqa: F401  (perfbench/spans.py wraps it here)
@@ -342,11 +342,15 @@ class _StepCore:
         cfg = self.cfg
         with np.errstate(over="ignore", invalid="ignore"):
             # B(Gu, u), with helmholtz_filter's product for Gu
-            bconv = _advect_block(self.lattice, u * self.filter, u) if cfg.nonlinear else None
+            gu = u * self.filter if cfg.nonlinear else None
+            bconv = _advect_block(self.lattice, gu, u) if cfg.nonlinear else None
             gw = cfg.noise._apply_block(u, self.increments(streams, step_index))
-            new = u + chi[:, None, None] * gw
+            # u + chi gw - dt chi bconv with no temporary: chi gw in new, then u
+            # added (+ commutes, so the bytes are the same), dt chi bconv in Gu
+            new = np.multiply(chi[:, None, None], gw)
+            new += u
             if bconv is not None:
-                new -= (cfg.dt * chi)[:, None, None] * bconv
+                new -= np.multiply((cfg.dt * chi)[:, None, None], bconv, out=gu)
             new /= self.denom
         return new, gw, bconv
 
@@ -503,6 +507,7 @@ def _run_lockstep(
     if cadence is not None:
         for member in range(size):
             snapshot(member, first, times[0], start.u)
+    del start  # u holds a copy of its state; only a snapshot sink may keep start.u
     records: list[TrajectoryRecord | None] = [None] * size
 
     def finish(row: int, last: int, final: np.ndarray, overflow: StoppingRecord | None) -> None:
@@ -632,7 +637,7 @@ def _pool_shape(workers: int, chunks: int) -> tuple[int, int]:
     """Processes of an ensemble pool and kernel threads per process: no
     more processes than chunks or CPUs (a fork pool starts all of them at
     once), and the CPUs shared among them."""
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     processes = min(workers, chunks, cpus)
     return processes, max(1, cpus // processes)
 

@@ -93,10 +93,10 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
         raise SnapshotVersionError(f"{path}: format version {version}, expected {VERSION}")
     meta = SnapshotMeta(n=int(n), nu=nu, alpha=alpha, theta1=theta1, theta2=theta2, t=t)
     expected = lattice(meta.n).size * 3 * 16
-    payload = blob[_HEADER.size :]
-    if len(payload) != expected:
+    if len(blob) - _HEADER.size != expected:
         raise SnapshotTruncatedError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected} for n={meta.n}"
+            f"{path}: payload holds {len(blob) - _HEADER.size} bytes, expected {expected} for n={meta.n}"
         )
-    coeffs = np.frombuffer(payload, dtype="<c16").astype(np.complex128).reshape(-1, 3)
+    # a read-only view of the file's bytes, copied only on a big-endian host
+    coeffs = np.frombuffer(blob, "<c16", offset=_HEADER.size).astype(np.complex128, copy=False).reshape(-1, 3)
     return SpectralField(meta.n, coeffs), meta

@@ -1,7 +1,6 @@
 """CLI dispatch: outputs, determinism, exit codes."""
 
 import math
-import os
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -641,7 +640,7 @@ def test_moment_order_rejected_before_anything_runs(tmp_path, capsys, value):
 def test_spawned_pool_writes_the_bytes_of_a_forked_one(tmp_path, monkeypatch):
     from leray_alpha import integrator
 
-    if (os.cpu_count() or 1) < 2:
+    if integrator.usable_cpus() < 2:
         pytest.skip("the pool is capped at one process here, so no pool starts")
     started = []
     pool = integrator.ProcessPoolExecutor

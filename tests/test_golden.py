@@ -36,13 +36,21 @@ def test_every_noise_family_has_a_case():
     ]
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("case", CASES)
+# run and ensemble at 1 and 2 workers; audit-noise starts no pool and takes
+# no --workers, so it runs once
+RUNS = [
+    pytest.param(case, workers, id=f"{case}-{workers}" if workers else case)
+    for case in CASES
+    for workers in ([None] if case.startswith("audit-noise") else ["1", "2"])
+]
+
+
+@pytest.mark.parametrize("case, workers", RUNS)
 def test_outputs_equal_fixtures(tmp_path, case, workers):
     command = case.rsplit("-", 1)[0]
     out = tmp_path / "out"
     args = [command, "--config", str(GOLDEN / f"{case}.ini"), "--output", str(out)]
-    if command != "audit-noise":  # it starts no pool and takes no --workers, so its two ids run alike
+    if workers:
         args += ["--workers", workers]
     assert main(args) == EXIT_OK
     expected = sorted(path.name for path in (GOLDEN / case).iterdir())

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import pickle
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -261,6 +262,31 @@ class TestRunTrajectory:
         cfg = linear_cfg(dt=0.125, horizon=1.0)
         record = run_trajectory(cfg)
         assert np.array_equal(record.t, 0.125 * np.arange(9))
+
+    def test_run_holds_each_state_once(self):
+        # a warm n = 16 run peaks 5.5 states above what it held before it
+        # started: in the ledger, which holds the state, the new state,
+        # g(u) dW and B(Gu, u), and 1.3 states of temporaries; a step peaks
+        # at 5.3, with G u, which then takes dt chi B(Gu, u).  A second copy
+        # of the start state, held until the run ends, makes it 6.5
+        n = 16
+        cfg = RunConfig(
+            ctx=ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=n),
+            dt=0.01,
+            horizon=0.04,
+            noise=AdditiveNoise(((1, 0, 0), (0, 1, 1)), (0.3, 0.2), n),
+            initial=InitialData(kind="random", seed=3),
+            nonlinear=True,
+        )
+        run_trajectory(cfg)  # builds the lattice and the kernel's workspace
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            run_trajectory(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 6 * 48 * lattice(n).size
 
 
 class TestOneIntegrationPath:
@@ -834,24 +860,38 @@ class TestEnsembleSink:
             return pool(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(integrator, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(integrator, "usable_cpus", lambda: 4)
         cfg = linear_cfg(horizon=0.01, dt=0.005)
         records = run_ensemble(cfg, 2, workers=6)
         assert [r.trajectory_id for r in records] == [0, 1]
-        assert started == [(2, (max(1, (os.cpu_count() or 1) // 2),))]
+        assert started == [(2, (2,))]
 
     @pytest.mark.parametrize(
         "cpus, workers, chunks, shape",
-        [(2, 6, 6, (2, 1)), (2, 2, 1, (1, 2)), (8, 3, 10, (3, 2)), (8, 16, 16, (8, 1)), (None, 4, 4, (1, 1))],
+        [(2, 6, 6, (2, 1)), (2, 2, 1, (1, 2)), (8, 3, 10, (3, 2)), (8, 16, 16, (8, 1)), (1, 4, 4, (1, 1))],
     )
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, workers, chunks, shape):
-        monkeypatch.setattr(integrator.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(integrator, "usable_cpus", lambda: cpus)
         assert integrator._pool_shape(workers, chunks) == shape
+
+    def test_pool_and_kernel_threads_follow_the_affinity_mask(self, monkeypatch):
+        # one CPU allowed on a host of more: one process, one kernel thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert integrator._pool_shape(2, 2) == (1, 1)
+        assert fields.default_fft_workers() == 1
+
+    @pytest.mark.parametrize("cpus, usable", [(8, 8), (None, 1)])
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, cpus, usable):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert fields.usable_cpus() == usable
 
     def test_one_cpu_runs_the_chunks_in_this_process(self, monkeypatch):
         def no_pool(**kwargs):
             raise AssertionError("no pool may start on one CPU")
 
-        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(integrator, "usable_cpus", lambda: 1)
         monkeypatch.setattr(integrator, "ProcessPoolExecutor", no_pool)
         cfg = linear_cfg(horizon=0.01, dt=0.005)
         records = run_ensemble(cfg, 3, workers=4)

@@ -431,9 +431,9 @@ class TestProductGridKernel:
         assert np.shares_memory(grid.rows, grid.block)
 
     def test_workspace_is_the_storage_and_two_slab_buffers_per_thread(self, saved_fft_workers):
-        # n = 24 at 2 threads: 17.64 MB of storage and 4.5 MB of slab
-        # buffers per thread; every other array the kernel keeps is a view of
-        # the storage or smaller than one output
+        # n = 24 at 2 threads: 17.64 MB of storage and 1.8 MB of slab
+        # buffers per thread (slabs of two x-planes); every other array the
+        # kernel keeps is a view of the storage or smaller than one output
         set_fft_workers(2)
         ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=24)
         u = random_field(ctx, seed=24).coeffs[None]
@@ -446,7 +446,7 @@ class TestProductGridKernel:
             assert by_y.nbytes == 12 * ng * depth * (n + 1) * 16
             assert physical.nbytes == 12 * ng * depth * ng * 8
         slabs = sum(buf.nbytes for buffers in grid.slab_buffers for buf in buffers)
-        assert slabs == 2 * 4_500_000
+        assert slabs == 2 * 1_800_000
         others = [a for a in vars(grid).values() if isinstance(a, np.ndarray) and a is not grid.storage]
         assert all(np.shares_memory(a, grid.storage) or a.nbytes < u.nbytes for a in others)
 

@@ -1,5 +1,7 @@
 """Binary snapshot format: bit-exact round trips, distinct error kinds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,25 @@ def test_round_trip_bit_exact(snap):
     loaded, loaded_meta = read_snapshot(path)
     assert np.array_equal(loaded.coeffs, field.coeffs)
     assert loaded_meta == meta
+
+
+def test_read_holds_the_payload_once(tmp_path):
+    # an n = 24 snapshot reads at 1.13 times its size: the file's bytes and
+    # the finiteness check's mask, one bool per float; each copy of the
+    # payload adds 1 (a slice of the bytes and a cast read 3.13)
+    ctx = ModelContext(nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, n=24)
+    field = random_field(ctx, seed=24)
+    path = tmp_path / "state.snap"
+    write_snapshot(field, SnapshotMeta(n=24, nu=1.0, alpha=1.0, theta1=1.0, theta2=1.0, t=0.0), path)
+    read_snapshot(path)  # builds the lattice
+    tracemalloc.start()
+    try:
+        loaded, _ = read_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.coeffs.tobytes() == field.coeffs.tobytes()
+    assert peak < 1.5 * path.stat().st_size
 
 
 def test_truncated_payload_detected(snap):
